@@ -308,7 +308,7 @@ func BenchmarkEvalSession(b *testing.B) {
 // keeps them exercised by `go test -bench` so the two surfaces cannot
 // diverge.
 func BenchmarkPerfScenarios(b *testing.B) {
-	for _, sc := range flexopt.PerfSuite() {
+	for _, sc := range perfreg.Suite() {
 		b.Run(sc.Name, func(b *testing.B) {
 			op, cleanup, err := sc.Setup()
 			if err != nil {

@@ -123,6 +123,14 @@ func (c *serveChild) stop() {
 	}
 }
 
+// signal delivers sig to the child.
+func (c *serveChild) signal(sig syscall.Signal) {
+	c.t.Helper()
+	if err := c.cmd.Process.Signal(sig); err != nil {
+		c.t.Fatalf("signalling %s with %v: %v", c.name, sig, err)
+	}
+}
+
 // kill SIGKILLs the child — no drain, no final lease report.
 func (c *serveChild) kill() {
 	c.t.Helper()
@@ -339,15 +347,20 @@ func TestDistributedChaosWorkerKill(t *testing.T) {
 		"-lease-ttl", "750ms", "-lease-systems", "1",
 		"-job-workers", "1", "-workers", "1")
 	victim := startServeChild(t, "victim", "-peer", coord.url, "-peer-id", "victim", "-peer-poll", "10ms", "-workers", "1")
-	startServeChild(t, "survivor", "-peer", coord.url, "-peer-id", "survivor", "-peer-poll", "10ms", "-workers", "1")
 
 	counts := []int{2, 3, 2, 3, 2}
 	dist := submitChildJob(t, coord.url, distributedE2ESpec(counts, heavy, true))
 
-	// Wait until the victim actually holds a granted shard, then pull
-	// the plug — no drain, no goodbye lease report.
+	// Pull the plug — no drain, no goodbye lease report — on a victim
+	// that holds a granted shard. Shards take milliseconds on a fast
+	// machine, so a lease seen granted can be completed before a kill
+	// lands. The victim is therefore the only worker until then, and it
+	// is frozen before each look: once its in-flight requests have
+	// landed, a lease still granted is certain to be lost.
 	deadline := time.Now().Add(time.Minute)
 	for {
+		victim.signal(syscall.SIGSTOP)
+		time.Sleep(50 * time.Millisecond)
 		_, body := childGet(t, coord.url, "/v1/leases")
 		var list jobs.LeaseList
 		if err := json.Unmarshal(body, &list); err != nil {
@@ -362,12 +375,14 @@ func TestDistributedChaosWorkerKill(t *testing.T) {
 		if holding {
 			break
 		}
+		victim.signal(syscall.SIGCONT)
 		if time.Now().After(deadline) {
-			t.Fatalf("victim never claimed a shard; leases: %s", body)
+			t.Fatalf("victim never held a shard while frozen; leases: %s", body)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	victim.kill()
+	startServeChild(t, "survivor", "-peer", coord.url, "-peer-id", "survivor", "-peer-poll", "10ms", "-workers", "1")
 
 	done := pollChildJob(t, coord.url, dist.ID, jobs.StatusDone, 4*time.Minute)
 	if done.Progress.Completed != len(counts) {

@@ -35,6 +35,8 @@ func (s *server) handleJobSubmit(w http.ResponseWriter, r *http.Request, spec *j
 		s.markShed()
 		w.Header().Set("Retry-After", retryAfter)
 		httpErrorCode(w, http.StatusServiceUnavailable, codeQueueFull, err.Error())
+	case errors.Is(err, jobs.ErrInvalidSystem):
+		httpErrorCode(w, http.StatusBadRequest, codeInvalidSystem, err.Error())
 	case errors.Is(err, jobs.ErrStore):
 		// The spec was fine; persisting it failed. A server fault,
 		// not a client error.

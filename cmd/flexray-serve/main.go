@@ -636,17 +636,8 @@ type optimizeRequest struct {
 	Options *jobs.Tuning `json:"options,omitempty"`
 }
 
-type bestJSON struct {
-	Algorithm   string          `json:"algorithm"`
-	Cost        float64         `json:"cost"`
-	Schedulable bool            `json:"schedulable"`
-	Evaluations int             `json:"evaluations"`
-	ElapsedUs   int64           `json:"elapsed_us"`
-	Config      json.RawMessage `json:"config"`
-}
-
 type optimizeResponse struct {
-	Best      bestJSON             `json:"best"`
+	Best      jobs.OptimizeBest    `json:"best"`
 	Runs      []campaign.AlgoRun   `json:"runs"`
 	Engine    campaign.EngineStats `json:"engine"`
 	ElapsedUs int64                `json:"elapsed_us"`
@@ -663,12 +654,12 @@ func (s *server) handleOptimize(w http.ResponseWriter, r *http.Request, req *opt
 	}
 	opts := req.Options.Apply(core.DefaultOptions())
 	var (
-		pf   *campaign.PortfolioResult
-		pErr error
+		res     *jobs.OptimizeResult
+		elapsed time.Duration
+		pErr    error
 	)
 	if err := s.compute(r.Context(), func() {
-		pf, pErr = campaign.Portfolio(r.Context(), sys, opts,
-			campaign.EngineOptions{Workers: workers}, req.Algorithms...)
+		res, elapsed, pErr = jobs.Optimize(r.Context(), sys, opts, workers, req.Algorithms...)
 	}); err != nil {
 		computeError(w, err)
 		return
@@ -681,24 +672,12 @@ func (s *server) handleOptimize(w http.ResponseWriter, r *http.Request, req *opt
 		httpError(w, http.StatusUnprocessableEntity, pErr.Error())
 		return
 	}
-	cfgJSON, err := marshalConfig(pf.Best.Config, sys)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	s.engine.Add(pf.Engine)
+	s.engine.Add(res.Engine)
 	writeJSON(w, http.StatusOK, optimizeResponse{
-		Best: bestJSON{
-			Algorithm:   pf.Best.Algorithm,
-			Cost:        pf.Best.Cost,
-			Schedulable: pf.Best.Schedulable,
-			Evaluations: pf.Best.Evaluations,
-			ElapsedUs:   pf.Best.Elapsed.Microseconds(),
-			Config:      cfgJSON,
-		},
-		Runs:      pf.Runs,
-		Engine:    pf.Engine,
-		ElapsedUs: pf.Elapsed.Microseconds(),
+		Best:      res.OptimizeBest,
+		Runs:      res.Runs,
+		Engine:    res.Engine,
+		ElapsedUs: elapsed.Microseconds(),
 	})
 }
 
@@ -857,14 +836,6 @@ func parseSystem(w http.ResponseWriter, raw json.RawMessage) (*model.System, boo
 		return nil, false
 	}
 	return sys, true
-}
-
-func marshalConfig(cfg *flexray.Config, sys *model.System) (json.RawMessage, error) {
-	var buf bytes.Buffer
-	if err := cfg.WriteJSON(&buf, sys); err != nil {
-		return nil, err
-	}
-	return json.RawMessage(buf.Bytes()), nil
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -433,3 +433,47 @@ func TestPprofEnabled(t *testing.T) {
 		t.Errorf("GET /debug/pprof/ with -pprof: status %d, want 200", resp.StatusCode)
 	}
 }
+
+// TestHyperPeriodBombRejected: a system whose hyper-period overflows
+// int64 nanoseconds (four coprime ~10 ms periods) once panicked inside
+// an optimiser goroutine, out of the middleware's reach, and killed the
+// process. Every upload path must now refuse it with invalid_system
+// before any schedule is built, and the server must keep serving.
+func TestHyperPeriodBombRejected(t *testing.T) {
+	ts := testServer(t)
+	var graphs []string
+	for i, p := range []int{9973, 9967, 9949, 9941} {
+		graphs = append(graphs, fmt.Sprintf(
+			`{"name": "g%d", "period_us": %d, "deadline_us": %d, "tasks": [{"name": "t%d", "node": %d, "wcet_us": 10, "policy": "SCS"}], "messages": []}`,
+			i, p, p, i, i%2))
+	}
+	sys := json.RawMessage(`{"name": "bomb", "nodes": 2, "graphs": [` + strings.Join(graphs, ", ") + `]}`)
+	for _, tc := range []struct {
+		path string
+		body map[string]any
+	}{
+		{"/v1/optimize", map[string]any{"system": sys}},
+		{"/v1/jobs", map[string]any{"kind": "optimize", "system": sys}},
+		{"/v1/jobs", map[string]any{"kind": "campaign", "population": map[string]any{"systems": []json.RawMessage{sys}}}},
+	} {
+		resp, body := post(t, ts, tc.path, tc.body)
+		var env errorEnvelope
+		if err := json.Unmarshal(body, &env); err != nil {
+			t.Fatalf("POST %s: %v in %s", tc.path, err, body)
+		}
+		if resp.StatusCode != http.StatusBadRequest || env.Error.Code != codeInvalidSystem {
+			t.Errorf("POST %s %v: %d %s, want 400 %s", tc.path, tc.body["kind"], resp.StatusCode, body, codeInvalidSystem)
+		}
+		if !strings.Contains(env.Error.Message, "hyper-period") {
+			t.Errorf("POST %s: message %q does not name the hyper-period", tc.path, env.Error.Message)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/livez")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("/livez after rejections: %d, want 200", resp.StatusCode)
+	}
+}

@@ -95,70 +95,17 @@
 // pre-built population. The Fig. 7 and Fig. 9 experiment sweeps run on
 // this engine.
 //
-// # Jobs
+// # Serving, jobs and performance tracking
 //
-// The job subsystem is the asynchronous face of the campaign layer,
-// built for work that outlives a request: whole-population campaigns,
-// what-if configuration sweeps, long portfolio optimisations. A
-// JobManager (NewJobManager) owns a bounded priority queue and a
-// worker pool executing three job kinds — JobOptimize, JobCampaign
-// over synthesised or uploaded populations, and JobSweep
-// (analyze/simulate batches) — each with a full lifecycle (queued,
-// running, done/failed/cancelled), monotone progress counters
-// (systems completed, best cost so far, engine cache stats),
-// cooperative cancellation and a per-job event stream (Subscribe).
-// Durability is pluggable through JobStore: NewJobMemStore keeps jobs
-// in memory, NewJobFileStore appends every submission and transition
-// to a JSONL file and replays it on startup, so a killed or gracefully
-// stopped manager resumes interrupted jobs and still serves the
-// results of finished ones.
-//
-// # Retention and compaction
-//
-// Long-lived managers bound their footprint on two axes. A
-// JobRetention policy in JobManagerOptions evicts terminal jobs —
-// deterministically oldest-finished first, submission order on ties —
-// when any of three limits is exceeded: a terminal-job count, a
-// maximum age, or a budget on the summed encoded size of retained
-// results (which skips result-less failed/cancelled jobs). Evicted
-// IDs answer ErrJobEvicted rather than not-found (flexray-serve maps
-// it to 410 Gone), durably across restarts for the most recent 1024
-// evictions. Store compaction — periodic via
-// JobManagerOptions.CompactInterval, always at Close, on demand via
-// JobManager.Compact — atomically rewrites the JSONL log to a
-// snapshot of live state (retained jobs plus eviction tombstones), so
-// startup replay cost is proportional to what is retained, not to
-// history; a crash mid-compact leaves the previous log intact. Both
-// are invisible to correctness: a manager restarted from a compacted
-// store serves retained results byte-identically and resumes
-// interrupted jobs exactly as one replaying the full history would.
-//
-// cmd/flexray-serve exposes the same pipeline as a JSON HTTP service:
-// POST /v1/optimize, /v1/analyze and /v1/simulate synchronously, with
-// bounded concurrency, body and time limits; and the job subsystem
-// under /v1/jobs (submit, list, poll, result, cancel, and live
-// progress via Server-Sent Events on /v1/jobs/{id}/events), with
-// graceful shutdown checkpointing outstanding jobs to the -store file
-// and the -retain-*/-compact-interval flags bounding store and memory
-// growth. OPERATIONS.md is the operator-facing guide: store sizing,
-// retention tuning, crash-recovery semantics, alerting.
-//
-// # Performance regression tracking
-//
-// PerfSuite is the curated macro-benchmark suite over the hot paths
-// above: evaluation sessions versus the from-scratch pipeline,
-// campaign-engine throughput at one and GOMAXPROCS workers, job
-// submit→drain latency, Fig. 7/Fig. 9 regeneration, and JSONL store
-// replay and compaction. PerfRun measures it with calibrated
-// repetition and robust statistics (median + MAD) plus a separate
-// fixed-repetition allocation pass, producing a schema-versioned
-// PerfReport — the BENCH_<seq>.json files committed at the repo root
-// are that report, one per PR: the machine-readable performance
-// trajectory. PerfCompare gates a report against a baseline with
-// noise-tolerant per-metric thresholds (15% on time, widened by the
-// observed sample spread; exact allocation equality on
-// single-goroutine scenarios, whose counts are deterministic).
-// `flexray-bench perf` is the CLI over the same functions, and CI
-// runs it against the newest committed baseline on every push; see
-// the "Performance baselines" section of OPERATIONS.md.
+// The facade stops at the optimisation pipeline. The layers built on
+// it live in internal packages and are reached through the commands:
+// cmd/flexray-serve exposes the pipeline as a JSON HTTP service —
+// POST /v1/optimize, /v1/analyze and /v1/simulate synchronously, the
+// durable asynchronous job subsystem (internal/jobs: campaigns,
+// sweeps and portfolio optimisations with progress streams,
+// retention and store compaction) under /v1/jobs, and the lint policy
+// engine (internal/lint) under /v1/lint and the flexray-lint CLI.
+// `flexray-bench perf` drives the performance-regression harness
+// (internal/perfreg) that produces the committed BENCH_<seq>.json
+// trajectory. OPERATIONS.md is the operator-facing guide.
 package flexopt

@@ -17,21 +17,22 @@ import (
 	"sort"
 	"strings"
 
-	flexopt "repro"
+	"repro/internal/jobs"
+	"repro/internal/obs"
 )
 
 func main() {
 	// The registry is what flexray-serve exposes at GET /metrics; the
 	// job-metrics bridge instruments the manager built below.
-	reg := flexopt.NewMetricsRegistry()
+	reg := obs.NewRegistry()
 
 	// An in-memory store keeps the example self-contained; pass a
-	// flexopt.NewJobFileStore path instead and jobs survive restarts.
-	mgr, err := flexopt.NewJobManager(flexopt.NewJobMemStore(), flexopt.JobManagerOptions{
+	// jobs.NewFileStore path instead and jobs survive restarts.
+	mgr, err := jobs.NewManager(jobs.NewMemStore(), jobs.ManagerOptions{
 		Workers:     1,
 		EvalWorkers: 2,
 		Logf:        log.Printf,
-		Metrics:     flexopt.NewJobMetrics(reg),
+		Metrics:     jobs.NewMetrics(reg),
 		TraceCap:    4096, // per-job optimiser trace ring
 	})
 	if err != nil {
@@ -42,16 +43,16 @@ func main() {
 	// A campaign job over eight synthesised systems (2- and 3-node
 	// platforms, the paper's Section 7 population) with reduced
 	// budgets so the example finishes in seconds.
-	job, err := mgr.Submit(flexopt.JobSpec{
-		Kind:       flexopt.JobCampaign,
+	job, err := mgr.Submit(jobs.Spec{
+		Kind:       jobs.KindCampaign,
 		Algorithms: []string{"bbc", "obc-cf"},
-		Tuning: &flexopt.JobTuning{
+		Tuning: &jobs.Tuning{
 			DYNGridCap:     24,
 			SlotCountCap:   2,
 			SlotLenSteps:   3,
 			MaxEvaluations: 300,
 		},
-		Population: &flexopt.JobPopulation{
+		Population: &jobs.Population{
 			NodeCounts:     []int{2, 3},
 			AppsPerCount:   4,
 			Seed:           1,

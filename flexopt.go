@@ -9,11 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cruise"
 	"repro/internal/flexray"
-	"repro/internal/jobs"
-	"repro/internal/lint"
 	"repro/internal/model"
-	"repro/internal/obs"
-	"repro/internal/perfreg"
 	"repro/internal/sched"
 	"repro/internal/schedule"
 	"repro/internal/sim"
@@ -273,231 +269,3 @@ func PopulationSpecs(nodeCounts []int, apps int, seed int64, deadlineFactor floa
 func CampaignSystems(ctx context.Context, systems []*System, opts Options, copts CampaignOptions, emit func(CampaignRecord) error) error {
 	return campaign.RunSystems(ctx, systems, opts, copts, emit)
 }
-
-// Asynchronous job subsystem: durable optimisation jobs, batch
-// campaigns and analyze/simulate sweeps with live progress streams.
-type (
-	// JobManager owns a bounded priority queue and a worker pool
-	// executing async jobs; it is what flexray-serve exposes under
-	// /v1/jobs.
-	JobManager = jobs.Manager
-	// JobManagerOptions size the worker pool and the queue, and carry
-	// the retention policy and compaction interval.
-	JobManagerOptions = jobs.ManagerOptions
-	// JobManagerStats snapshot job counts, retention/store counters
-	// and engine totals.
-	JobManagerStats = jobs.ManagerStats
-	// JobRetention bounds the terminal jobs a manager retains; the
-	// zero value keeps everything. Eviction is deterministic: oldest
-	// FinishedAt first, submission order on ties.
-	JobRetention = jobs.RetentionPolicy
-	// JobStoreStats snapshot the durable store (size on disk,
-	// compaction count, last compaction time) for operators.
-	JobStoreStats = jobs.StoreStats
-	// JobSpec describes one job: kind, payload, priority and knobs.
-	JobSpec = jobs.Spec
-	// JobPopulation is a campaign job's input set (synthesised or
-	// uploaded).
-	JobPopulation = jobs.Population
-	// JobTuning are the serialisable optimiser knobs of a job.
-	JobTuning = jobs.Tuning
-	// JobKind selects what a job computes.
-	JobKind = jobs.Kind
-	// JobStatus is the lifecycle state of a job.
-	JobStatus = jobs.Status
-	// Job is the externally visible snapshot of one job.
-	Job = jobs.Job
-	// JobProgress carries a job's live counters.
-	JobProgress = jobs.Progress
-	// JobResult is the payload of a finished job.
-	JobResult = jobs.Result
-	// JobEvent is one element of a job's progress stream.
-	JobEvent = jobs.Event
-	// JobStore persists job history for crash recovery.
-	JobStore = jobs.Store
-)
-
-// Job kinds and lifecycle states.
-const (
-	JobOptimize = jobs.KindOptimize
-	JobCampaign = jobs.KindCampaign
-	JobSweep    = jobs.KindSweep
-
-	JobQueued    = jobs.StatusQueued
-	JobRunning   = jobs.StatusRunning
-	JobDone      = jobs.StatusDone
-	JobFailed    = jobs.StatusFailed
-	JobCancelled = jobs.StatusCancelled
-)
-
-// ErrJobEvicted marks a job the manager's retention policy dropped:
-// it existed and finished, but its snapshot and result are gone for
-// good (flexray-serve answers 410 Gone). Distinct from the not-found
-// error an unknown ID yields.
-var ErrJobEvicted = jobs.ErrEvicted
-
-// NewJobManager builds a job manager over the given store (nil keeps
-// jobs in memory), replaying the store's history — finished jobs come
-// back with their results, interrupted ones are re-enqueued — and
-// starting the worker pool. Close it to checkpoint outstanding work;
-// with a compacting store (NewJobFileStore), Close also rewrites the
-// log to live state so the next startup replays the snapshot, not
-// history. A JobRetention policy in the options bounds terminal-job
-// state; JobManager.Compact forces a store rewrite on demand.
-func NewJobManager(store JobStore, opts JobManagerOptions) (*JobManager, error) {
-	return jobs.NewManager(store, opts)
-}
-
-// NewJobMemStore returns an in-memory job store (no crash recovery).
-func NewJobMemStore() JobStore { return jobs.NewMemStore() }
-
-// NewJobFileStore opens (creating if needed) the append-only JSONL job
-// store at path; a manager built over it resumes the recorded state.
-// The store supports compaction (periodic via JobManagerOptions.
-// CompactInterval, always at Close): the log is atomically rewritten
-// to a snapshot of live state, so it grows with the live job set and
-// the append tail, not with all history.
-func NewJobFileStore(path string) (JobStore, error) { return jobs.NewFileStore(path) }
-
-// Performance-regression harness: the curated macro-benchmark suite
-// behind `flexray-bench perf` and the committed BENCH_<seq>.json
-// trajectory.
-type (
-	// PerfScenario is one macro-benchmark of the suite.
-	PerfScenario = perfreg.Scenario
-	// PerfMeasureConfig tunes sampling; see PerfFullConfig and
-	// PerfQuickConfig.
-	PerfMeasureConfig = perfreg.MeasureConfig
-	// PerfReport is one schema-versioned BENCH_<seq>.json: per-
-	// scenario ns/op, allocs/op, B/op and throughput plus an
-	// environment fingerprint and git SHA.
-	PerfReport = perfreg.Report
-	// PerfScenarioResult is one scenario's measured metrics and
-	// regression thresholds.
-	PerfScenarioResult = perfreg.ScenarioResult
-	// PerfCompareOptions tune the regression gate (cross-machine
-	// time-tolerance override, MAD noise widening).
-	PerfCompareOptions = perfreg.CompareOptions
-	// PerfComparison is the outcome of gating a run against a
-	// baseline report.
-	PerfComparison = perfreg.Comparison
-)
-
-// PerfSuite returns the curated macro-benchmark suite: evaluation
-// sessions vs the fresh path, campaign-engine throughput, the async
-// job pipeline, figure regeneration and the durable job store.
-func PerfSuite() []*PerfScenario { return perfreg.Suite() }
-
-// PerfFullConfig returns the baseline-quality sampling configuration;
-// PerfQuickConfig the reduced CI one (noisier timings, identical
-// allocation counts).
-func PerfFullConfig() PerfMeasureConfig  { return perfreg.FullConfig() }
-func PerfQuickConfig() PerfMeasureConfig { return perfreg.QuickConfig() }
-
-// PerfRun measures a scenario suite with calibrated repetition and
-// robust statistics (median + MAD) and assembles the report.
-func PerfRun(scens []*PerfScenario, cfg PerfMeasureConfig) (*PerfReport, error) {
-	return perfreg.RunSuite(scens, cfg)
-}
-
-// PerfCompare gates cur against a baseline report: per-metric
-// noise-tolerant thresholds, 15% on time and exact allocation counts
-// by default. Comparison.OK reports the verdict; Comparison.Table
-// renders the human diff.
-func PerfCompare(base, cur *PerfReport, opts PerfCompareOptions) *PerfComparison {
-	return perfreg.Compare(base, cur, opts)
-}
-
-// ReadPerfReport parses a BENCH_<seq>.json, rejecting unknown schema
-// versions.
-func ReadPerfReport(path string) (*PerfReport, error) { return perfreg.ReadReport(path) }
-
-// Observability: the dependency-free metrics layer behind
-// flexray-serve's GET /metrics and the optimiser trace capture.
-type (
-	// MetricsRegistry holds named instrument families (counters,
-	// gauges, histograms, scrape-time funcs) and writes them in the
-	// Prometheus text exposition format; it implements http.Handler.
-	MetricsRegistry = obs.Registry
-	// MetricCounter is a monotonically increasing atomic counter.
-	MetricCounter = obs.Counter
-	// MetricGauge is an atomic instantaneous value.
-	MetricGauge = obs.Gauge
-	// MetricHistogram is a fixed-bucket latency/size distribution.
-	MetricHistogram = obs.Histogram
-	// OptTraceEvent is one explored candidate of an optimiser run:
-	// iteration, cost, incumbent best, SA temperature and accept rate.
-	// (TraceEvent names the simulator's bus-level trace entry.)
-	OptTraceEvent = obs.TraceEvent
-	// OptTraceFunc receives trace events; set Options.Trace to hook an
-	// optimiser run.
-	OptTraceFunc = obs.TraceFunc
-	// OptTraceRing is a bounded, concurrency-safe ring of the most
-	// recent trace events, with a lifetime total for drop accounting.
-	OptTraceRing = obs.TraceRing
-	// OptTraceSnapshot is a point-in-time copy of a ring's contents.
-	OptTraceSnapshot = obs.TraceSnapshot
-	// JobMetrics bridges one JobManager's telemetry into a registry;
-	// see NewJobMetrics and JobManagerOptions.Metrics.
-	JobMetrics = jobs.Metrics
-)
-
-// NewMetricsRegistry returns an empty metrics registry.
-func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
-
-// RegisterGoRuntimeMetrics adds the go_* runtime families (goroutines,
-// heap, GC) to a registry.
-func RegisterGoRuntimeMetrics(r *MetricsRegistry) { obs.RegisterGoRuntime(r) }
-
-// NewOptTraceRing returns a trace ring retaining the most recent
-// capacity events; its Record method satisfies OptTraceFunc.
-func NewOptTraceRing(capacity int) *OptTraceRing { return obs.NewTraceRing(capacity) }
-
-// NewJobMetrics registers the job-manager and store instrument
-// families on r; pass the result to exactly one manager via
-// JobManagerOptions.Metrics.
-func NewJobMetrics(r *MetricsRegistry) *JobMetrics { return jobs.NewMetrics(r) }
-
-// Linting: the declarative policy engine behind flexray-lint,
-// POST /v1/lint and flexray-serve's -validate-jobs submission gate.
-// A lint run extracts a fact model from a system (and optionally a
-// configuration), evaluates every rule of the selected policy packs,
-// and reports each as pass/fail/skip with an explanation — no rule is
-// ever silently dropped.
-type (
-	// LintReport is the machine-readable result of one lint run
-	// (schema "flexray-lint/v1"): the findings, their summary and the
-	// worst failing severity.
-	LintReport = lint.Report
-	// LintFinding is one rule evaluation: rule ID, pack, severity,
-	// pass/fail/skip status, subject and explanation.
-	LintFinding = lint.Finding
-	// LintOptions selects analysis parameters, schedule-fact
-	// extraction and warning thresholds for a lint run.
-	LintOptions = lint.Options
-	// LintSeverity ranks findings: info < warning < error.
-	LintSeverity = lint.Severity
-	// LintThresholds are the headroom warning knobs (node/bus
-	// utilisation, slack, jitter, slot fill, DYN cycle spill).
-	LintThresholds = lint.Thresholds
-	// LintMetrics bridges lint-run telemetry into a metrics registry;
-	// see NewLintMetrics.
-	LintMetrics = lint.Metrics
-)
-
-// Lint evaluates sys (and cfg, which may be nil) against the named
-// policy packs — all of them when none are given.
-func Lint(sys *System, cfg *Config, opts LintOptions, packs ...string) (*LintReport, error) {
-	return lint.Run(sys, cfg, opts, packs...)
-}
-
-// DefaultLintOptions returns the defaults flexray-lint itself runs
-// with: schedule facts on, documented warning thresholds.
-func DefaultLintOptions() LintOptions { return lint.DefaultOptions() }
-
-// LintPacks lists the registered policy packs in evaluation order.
-func LintPacks() []string { return lint.Packs() }
-
-// NewLintMetrics registers the flexray_lint_* instrument families on
-// r.
-func NewLintMetrics(r *MetricsRegistry) *LintMetrics { return lint.NewMetrics(r) }

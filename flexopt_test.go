@@ -3,7 +3,6 @@ package flexopt_test
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -190,112 +189,5 @@ func TestPublicAPICampaign(t *testing.T) {
 		if r.Index != i || r.Err != "" || r.Best == "" {
 			t.Errorf("record %d malformed: %+v", i, r)
 		}
-	}
-}
-
-// TestPublicAPIJobs drives the async job subsystem through the facade:
-// submit a campaign over builder-made (uploaded) systems, follow its
-// event stream, and fetch the result.
-func TestPublicAPIJobs(t *testing.T) {
-	mgr, err := flexopt.NewJobManager(flexopt.NewJobMemStore(), flexopt.JobManagerOptions{
-		Workers: 1,
-		Logf:    t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := mgr.Close(context.Background()); err != nil {
-			t.Error(err)
-		}
-	}()
-
-	sys := buildDemo(t)
-	var raw bytes.Buffer
-	if err := sys.WriteJSON(&raw); err != nil {
-		t.Fatal(err)
-	}
-	job, err := mgr.Submit(flexopt.JobSpec{
-		Kind:       flexopt.JobCampaign,
-		Algorithms: []string{"bbc", "obc-cf"},
-		Tuning:     &flexopt.JobTuning{DYNGridCap: 16, MaxEvaluations: 150},
-		Population: &flexopt.JobPopulation{Systems: []json.RawMessage{raw.Bytes()}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if job.Status != flexopt.JobQueued {
-		t.Fatalf("submitted job is %s, want queued", job.Status)
-	}
-
-	_, events, cancel, err := mgr.Subscribe(job.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cancel()
-	last := -1
-	for ev := range events {
-		if ev.Job.Progress.Completed < last {
-			t.Errorf("progress regressed: %d -> %d", last, ev.Job.Progress.Completed)
-		}
-		last = ev.Job.Progress.Completed
-	}
-
-	res, final, err := mgr.Result(job.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final.Status != flexopt.JobDone {
-		t.Fatalf("final status %s (error %q), want done", final.Status, final.Error)
-	}
-	if len(res.Records) != 1 || res.Records[0].Name != sys.Name || res.Records[0].Best == "" {
-		t.Errorf("job records %+v, want one winning record for %s", res.Records, sys.Name)
-	}
-}
-
-// TestPublicAPIPerf drives the performance-regression harness through
-// the facade: measure a tiny custom suite, round-trip the report, and
-// gate a doctored regression with PerfCompare.
-func TestPublicAPIPerf(t *testing.T) {
-	suite := []*flexopt.PerfScenario{{
-		Name:   "facade/spin",
-		Unit:   "op",
-		Serial: true,
-		Setup: func() (func() error, func(), error) {
-			sink := 0
-			return func() error {
-				for i := 0; i < 500; i++ {
-					sink += i
-				}
-				_ = sink
-				return nil
-			}, nil, nil
-		},
-	}}
-	cfg := flexopt.PerfQuickConfig()
-	report, err := flexopt.PerfRun(suite, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(report.Scenarios) != 1 || report.Scenarios[0].AllocsPerOp != 0 {
-		t.Fatalf("report = %+v", report.Scenarios)
-	}
-	path := t.TempDir() + "/BENCH_1.json"
-	report.Seq = 1
-	if err := report.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	base, err := flexopt.ReadPerfReport(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cmp := flexopt.PerfCompare(base, report, flexopt.PerfCompareOptions{}); !cmp.OK() {
-		t.Errorf("report regressed against itself:\n%s", cmp.Table())
-	}
-	worse := *report
-	worse.Scenarios = append([]flexopt.PerfScenarioResult(nil), report.Scenarios...)
-	worse.Scenarios[0].AllocsPerOp += 3
-	if cmp := flexopt.PerfCompare(base, &worse, flexopt.PerfCompareOptions{}); cmp.OK() {
-		t.Error("injected allocation regression passed the facade gate")
 	}
 }

@@ -42,18 +42,12 @@ import (
 // optimiser ever prefers an aborted candidate.
 const infeasibleCost = 1e15
 
-// DefaultCacheSize bounds the evaluation cache of an engine when
-// EngineOptions.CacheSize is zero.
+// DefaultCacheSize bounds the evaluation cache of an engine.
 const DefaultCacheSize = 4096
 
 // maxCacheShards caps the sharding of the evaluation cache; beyond 64
 // ways the mutexes stop being the bottleneck long before the shards do.
 const maxCacheShards = 64
-
-// minShardCapacity is the fewest entries one cache shard may hold:
-// small configured caches stay coarsely sharded rather than degrading
-// into per-shard LRUs too tiny to keep a working set.
-const minShardCapacity = 8
 
 // workerSessionCap bounds the pinned sessions one worker keeps; engines
 // usually serve a single system, so this only guards pathological
@@ -68,9 +62,6 @@ type EngineOptions struct {
 	// count produces identical optimiser results — only the
 	// wall-clock changes.
 	Workers int `json:"workers"`
-	// CacheSize bounds the evaluation cache in entries; 0 selects
-	// DefaultCacheSize, negative values disable caching.
-	CacheSize int `json:"cache_size,omitempty"`
 }
 
 // EngineStats report what an engine actually did. Cache hits include
@@ -180,7 +171,6 @@ type Engine struct {
 
 	shards    []cacheShard
 	shardMask uint64
-	caching   bool
 
 	evals  atomic.Int64
 	hits   atomic.Int64
@@ -213,38 +203,22 @@ func NewEngine(ctx context.Context, opts EngineOptions) *Engine {
 		w = runtime.GOMAXPROCS(0)
 	}
 	w = clampWorkers(w)
-	capacity := opts.CacheSize
-	if capacity == 0 {
-		capacity = DefaultCacheSize
-	}
-	e := &Engine{
-		ctx:     ctx,
-		workers: make(chan *engineWorker, w),
-		caching: capacity > 0,
-	}
+	e := &Engine{ctx: ctx, workers: make(chan *engineWorker, w)}
 	for i := 0; i < w; i++ {
 		e.workers <- &engineWorker{sessions: map[sessionKey]*core.Session{}}
 	}
-	if e.caching {
-		// Power-of-two shard count scaled to the worker pool, so the
-		// per-shard mutexes stay uncontended at high worker counts —
-		// but never sharded so finely that a shard holds fewer than
-		// minShardCapacity entries, which would evict hot entries a
-		// single LRU of the same total capacity would retain.
-		n := 1
-		for n < w && n < maxCacheShards {
-			n <<= 1
-		}
-		for n > 1 && capacity/n < minShardCapacity {
-			n >>= 1
-		}
-		perShard := (capacity + n - 1) / n
-		e.shards = make([]cacheShard, n)
-		e.shardMask = uint64(n - 1)
-		for i := range e.shards {
-			e.shards[i].entries = map[cacheKey]*list.Element{}
-			e.shards[i].capacity = perShard
-		}
+	// Power-of-two shard count scaled to the worker pool, so the
+	// per-shard mutexes stay uncontended at high worker counts; at
+	// maxCacheShards ways a shard still holds 64 entries.
+	n := 1
+	for n < w && n < maxCacheShards {
+		n <<= 1
+	}
+	e.shards = make([]cacheShard, n)
+	e.shardMask = uint64(n - 1)
+	for i := range e.shards {
+		e.shards[i].entries = map[cacheKey]*list.Element{}
+		e.shards[i].capacity = DefaultCacheSize / n
 	}
 	return e
 }
@@ -280,7 +254,7 @@ func (e *Engine) Stats() EngineStats {
 }
 
 // CacheShards reports how many lock domains the evaluation cache is
-// split into (0 when caching is disabled).
+// split into.
 func (e *Engine) CacheShards() int { return len(e.shards) }
 
 // Cancelled reports whether the engine's context has been cancelled
@@ -297,9 +271,6 @@ func (e *Engine) shard(key *cacheKey) *cacheShard {
 // then one schedule build plus holistic analysis on a pinned worker
 // session.
 func (e *Engine) Eval(sys *model.System, cfg *flexray.Config, opts sched.Options) (*analysis.Result, float64) {
-	if !e.caching {
-		return e.run(sys, cfg, opts)
-	}
 	key := cacheKey{sys: sys, fp: cfg.Fingerprint(), opts: opts}
 	sh := e.shard(&key)
 	sh.mu.Lock()
@@ -329,41 +300,12 @@ func (e *Engine) Eval(sys *model.System, cfg *flexray.Config, opts sched.Options
 }
 
 // EvalBatch evaluates independent candidates across the worker pool and
-// returns positionally aligned results. Without caching the batch is
-// split into contiguous chunks, one per worker slot, and each chunk
-// goes through the pinned session's batch path (core.Session.EvalBatch)
-// so the signature-grouped evaluation order amortises analyzer rebinds
-// across the whole chunk; with caching every candidate takes the
+// returns positionally aligned results. Every candidate takes the
 // per-candidate cache protocol (lookup, in-flight coalescing, insert).
 func (e *Engine) EvalBatch(sys *model.System, cfgs []*flexray.Config, opts sched.Options) ([]*analysis.Result, []float64) {
 	ress := make([]*analysis.Result, len(cfgs))
 	costs := make([]float64, len(cfgs))
 	if len(cfgs) == 0 {
-		return ress, costs
-	}
-	if !e.caching {
-		n := cap(e.workers)
-		if n > len(cfgs) {
-			n = len(cfgs)
-		}
-		if n <= 1 {
-			e.runBatch(sys, cfgs, opts, ress, costs)
-			return ress, costs
-		}
-		chunk := (len(cfgs) + n - 1) / n
-		var wg sync.WaitGroup
-		for lo := 0; lo < len(cfgs); lo += chunk {
-			hi := lo + chunk
-			if hi > len(cfgs) {
-				hi = len(cfgs)
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				e.runBatch(sys, cfgs[lo:hi], opts, ress[lo:hi], costs[lo:hi])
-			}(lo, hi)
-		}
-		wg.Wait()
 		return ress, costs
 	}
 	if cap(e.workers) == 1 || len(cfgs) == 1 {
@@ -384,35 +326,6 @@ func (e *Engine) EvalBatch(sys *model.System, cfgs []*flexray.Config, opts sched
 	}
 	wg.Wait()
 	return ress, costs
-}
-
-// runBatch evaluates one contiguous chunk of a batch on a single pinned
-// worker session, holding the worker slot for the whole chunk. Results
-// are written positionally into ress/costs (aligned with cfgs);
-// cancellation marks the remaining candidates infeasible, mirroring the
-// per-candidate path.
-func (e *Engine) runBatch(sys *model.System, cfgs []*flexray.Config, opts sched.Options, ress []*analysis.Result, costs []float64) {
-	markCancelled := func() {
-		for i := range cfgs {
-			ress[i], costs[i] = nil, infeasibleCost
-		}
-	}
-	var wk *engineWorker
-	select {
-	case wk = <-e.workers:
-		defer func() { e.workers <- wk }()
-	case <-e.ctx.Done():
-		markCancelled()
-		return
-	}
-	if e.ctx.Err() != nil {
-		markCancelled()
-		return
-	}
-	e.evals.Add(int64(len(cfgs)))
-	rs, cs := wk.session(sys, opts).EvalBatch(cfgs)
-	copy(ress, rs)
-	copy(costs, cs)
 }
 
 // run performs the real work on a pinned worker session.

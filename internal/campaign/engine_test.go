@@ -103,7 +103,10 @@ func TestEngineCache(t *testing.T) {
 	}
 }
 
-// TestEngineCacheBound verifies the cache never exceeds its capacity.
+// TestEngineCacheBound verifies the cache never exceeds its capacity
+// and evicts least recently used entries first. The default capacity is
+// far above what a test can fill cheaply, so the shard is shrunk in
+// place to 4 entries.
 func TestEngineCacheBound(t *testing.T) {
 	sys := testSystem(t, 2, 3)
 	opts := quickOpts()
@@ -111,10 +114,14 @@ func TestEngineCacheBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := NewEngine(context.Background(), EngineOptions{Workers: 1, CacheSize: 4})
+	eng := NewEngine(context.Background(), EngineOptions{Workers: 1})
 	if got := eng.CacheShards(); got != 1 {
 		t.Fatalf("1-worker engine uses %d shards, want 1", got)
 	}
+	if got := eng.shards[0].capacity; got != DefaultCacheSize {
+		t.Fatalf("1-worker shard holds %d entries, want %d", got, DefaultCacheSize)
+	}
+	eng.shards[0].capacity = 4
 	for i := 0; i < 16; i++ {
 		cfg := bbc.Config.Clone()
 		cfg.NumMinislots += i
@@ -135,10 +142,17 @@ func TestEngineCacheBound(t *testing.T) {
 	if after := eng.Stats().Evaluations; after != before {
 		t.Errorf("most recent entry was evicted (evals %d -> %d)", before, after)
 	}
+	// The oldest entry must be gone.
+	cfg = bbc.Config.Clone()
+	eng.Eval(sys, cfg, opts.Sched)
+	if after := eng.Stats().Evaluations; after != before+1 {
+		t.Errorf("oldest entry survived eviction (evals %d -> %d)", before, after)
+	}
 }
 
 // TestEngineCancellation: a cancelled engine answers immediately with
-// an infeasible cost and never builds a schedule.
+// an infeasible cost and never builds a schedule, one candidate or a
+// batch at a time.
 func TestEngineCancellation(t *testing.T) {
 	sys := testSystem(t, 2, 3)
 	opts := quickOpts()
@@ -148,10 +162,18 @@ func TestEngineCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	eng := NewEngine(ctx, EngineOptions{Workers: 1, CacheSize: -1})
+	eng := NewEngine(ctx, EngineOptions{Workers: 2})
 	res, cost := eng.Eval(sys, bbc.Config, opts.Sched)
 	if res != nil || cost != infeasibleCost {
 		t.Errorf("cancelled eval = (%v, %v), want (nil, infeasible)", res, cost)
+	}
+	other := bbc.Config.Clone()
+	other.NumMinislots++
+	ress, costs := eng.EvalBatch(sys, []*flexray.Config{bbc.Config.Clone(), other}, opts.Sched)
+	for i := range ress {
+		if ress[i] != nil || costs[i] != infeasibleCost {
+			t.Errorf("cancelled batch[%d] = (%v, %v), want (nil, infeasible)", i, ress[i], costs[i])
+		}
 	}
 	if st := eng.Stats(); st.Evaluations != 0 {
 		t.Errorf("cancelled engine still evaluated: %+v", st)

@@ -289,7 +289,11 @@ func parseSystem(raw json.RawMessage) (*model.System, error) {
 	if len(raw) == 0 {
 		return nil, errors.New(`jobs: missing "system"`)
 	}
-	return model.ReadJSON(bytes.NewReader(raw))
+	sys, err := model.ReadJSON(bytes.NewReader(raw))
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrInvalidSystem, err)
+	}
+	return sys, nil
 }
 
 // Progress carries the live counters of a job. Completed never
@@ -339,16 +343,23 @@ type Job struct {
 	Spans []SpanSummary `json:"spans,omitempty"`
 }
 
-// OptimizeResult is the payload of a finished optimize job.
+// OptimizeBest is the winner of a portfolio race with its encoded
+// configuration.
+type OptimizeBest struct {
+	Algorithm   string          `json:"algorithm"`
+	Cost        float64         `json:"cost"`
+	Schedulable bool            `json:"schedulable"`
+	Evaluations int             `json:"evaluations"`
+	ElapsedUs   int64           `json:"elapsed_us"`
+	Config      json.RawMessage `json:"config"`
+}
+
+// OptimizeResult is the payload of a finished optimize job: the
+// winner's fields inline, then the per-algorithm telemetry.
 type OptimizeResult struct {
-	Algorithm   string               `json:"algorithm"`
-	Cost        float64              `json:"cost"`
-	Schedulable bool                 `json:"schedulable"`
-	Evaluations int                  `json:"evaluations"`
-	ElapsedUs   int64                `json:"elapsed_us"`
-	Config      json.RawMessage      `json:"config"`
-	Runs        []campaign.AlgoRun   `json:"runs"`
-	Engine      campaign.EngineStats `json:"engine"`
+	OptimizeBest
+	Runs   []campaign.AlgoRun   `json:"runs"`
+	Engine campaign.EngineStats `json:"engine"`
 }
 
 // SweepPoint is the outcome of one configuration of a sweep job.
@@ -399,6 +410,9 @@ var (
 	// well-formed but could not be persisted (a server fault, not a
 	// client error).
 	ErrStore = errors.New("jobs: store failure")
+	// ErrInvalidSystem marks a spec whose uploaded system does not
+	// decode or validate.
+	ErrInvalidSystem = errors.New("jobs: invalid system")
 	// ErrLeaseNotFound marks a lease ID the manager never granted (or
 	// granted so long ago the retired-lease memory dropped it).
 	ErrLeaseNotFound = errors.New("jobs: no such lease")

@@ -528,3 +528,34 @@ func grantWorker(ll LeaseList, leaseID string) string {
 	}
 	return ""
 }
+
+// TestLeaseRespError: a lease failure maps its status onto the lease
+// sentinels and carries the envelope's message, or the raw body when
+// the response is not the envelope.
+func TestLeaseRespError(t *testing.T) {
+	cases := []struct {
+		status int
+		body   string
+		base   error
+		want   string
+	}{
+		{http.StatusConflict, `{"error": {"code": "lease_stale", "message": "held by w2"}}`,
+			ErrLeaseStale, "jobs: lease no longer held (held by w2)"},
+		{http.StatusNotFound, "", ErrLeaseNotFound, "jobs: no such lease"},
+		{http.StatusGone, "gone\n", ErrLeaseGone, "jobs: lease retired with its job (gone)"},
+		{http.StatusBadGateway, `{"error": "upstream down"}`, nil,
+			`jobs: lease request: HTTP 502: {"error": "upstream down"}`},
+	}
+	for _, tc := range cases {
+		rec := httptest.NewRecorder()
+		rec.WriteHeader(tc.status)
+		rec.WriteString(tc.body)
+		err := leaseRespError(rec.Result())
+		if tc.base != nil && !errors.Is(err, tc.base) {
+			t.Errorf("HTTP %d: %v, want %v", tc.status, err, tc.base)
+		}
+		if err.Error() != tc.want {
+			t.Errorf("HTTP %d: message %q, want %q", tc.status, err, tc.want)
+		}
+	}
+}

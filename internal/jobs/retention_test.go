@@ -195,7 +195,7 @@ func fatHistory(t *testing.T, path string, n, pad int) {
 		if err := s.Append(StoreRecord{
 			Type: recordStatus, ID: id, Time: at.Add(time.Second), Status: StatusDone,
 			Progress: &Progress{Total: 1, Completed: 1},
-			Result:   &Result{Optimize: &OptimizeResult{Algorithm: "bbc", Config: payload}},
+			Result:   &Result{Optimize: &OptimizeResult{OptimizeBest: OptimizeBest{Algorithm: "bbc", Config: payload}}},
 		}); err != nil {
 			t.Fatal(err)
 		}

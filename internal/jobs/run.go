@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
+	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/core"
@@ -62,40 +63,53 @@ func (m *Manager) evalWorkers(j *job) int {
 	return m.opts.EvalWorkers
 }
 
+// Optimize races the optimiser portfolio on sys over an engine of the
+// given worker count and encodes the winning configuration. It is the
+// one optimise step behind optimize jobs and the synchronous
+// POST /v1/optimize; it also returns the race's wall-clock time.
+func Optimize(ctx context.Context, sys *model.System, opts core.Options, workers int, algorithms ...string) (*OptimizeResult, time.Duration, error) {
+	pf, err := campaign.Portfolio(ctx, sys, opts, campaign.EngineOptions{Workers: workers}, algorithms...)
+	if err != nil {
+		return nil, 0, err
+	}
+	var buf bytes.Buffer
+	if err := pf.Best.Config.WriteJSON(&buf, sys); err != nil {
+		return nil, 0, err
+	}
+	return &OptimizeResult{
+		OptimizeBest: OptimizeBest{
+			Algorithm:   pf.Best.Algorithm,
+			Cost:        pf.Best.Cost,
+			Schedulable: pf.Best.Schedulable,
+			Evaluations: pf.Best.Evaluations,
+			ElapsedUs:   pf.Best.Elapsed.Microseconds(),
+			Config:      json.RawMessage(buf.Bytes()),
+		},
+		Runs:   pf.Runs,
+		Engine: pf.Engine,
+	}, pf.Elapsed, nil
+}
+
 func (m *Manager) runOptimize(ctx context.Context, j *job, c *compiled) (*Result, error) {
 	m.updateProgress(j, func(p *Progress) { p.Total = 1 })
-	pf, err := campaign.Portfolio(ctx, c.sys, c.opts,
-		campaign.EngineOptions{Workers: m.evalWorkers(j)}, c.algorithms...)
+	res, _, err := Optimize(ctx, c.sys, c.opts, m.evalWorkers(j), c.algorithms...)
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, cerr
 		}
 		return nil, err
 	}
-	var buf bytes.Buffer
-	if err := pf.Best.Config.WriteJSON(&buf, c.sys); err != nil {
-		return nil, err
-	}
-	m.engine.Add(pf.Engine)
+	m.engine.Add(res.Engine)
 	m.updateProgress(j, func(p *Progress) {
 		p.Completed = 1
-		p.Best = pf.Best.Algorithm
-		p.BestCost = pf.Best.Cost
-		if pf.Best.Schedulable {
+		p.Best = res.Algorithm
+		p.BestCost = res.Cost
+		if res.Schedulable {
 			p.Schedulable = 1
 		}
-		p.Engine = pf.Engine
+		p.Engine = res.Engine
 	})
-	return &Result{Optimize: &OptimizeResult{
-		Algorithm:   pf.Best.Algorithm,
-		Cost:        pf.Best.Cost,
-		Schedulable: pf.Best.Schedulable,
-		Evaluations: pf.Best.Evaluations,
-		ElapsedUs:   pf.Best.Elapsed.Microseconds(),
-		Config:      json.RawMessage(buf.Bytes()),
-		Runs:        pf.Runs,
-		Engine:      pf.Engine,
-	}}, nil
+	return &Result{Optimize: res}, nil
 }
 
 func (m *Manager) runCampaign(ctx context.Context, j *job, c *compiled) (*Result, error) {

@@ -353,25 +353,17 @@ func (w *Worker) post(ctx context.Context, path string, body any) (*http.Respons
 // server's message attached.
 func leaseRespError(resp *http.Response) error {
 	// The coordinator speaks the structured envelope
-	// {"error": {"code", "message"}}; older peers sent a bare
-	// {"error": "msg"} string. Accept both (mixed-version fleets
-	// upgrade one process at a time), falling back to the raw body.
+	// {"error": {"code", "message"}}; anything else (a proxy's error
+	// page, a truncated body) is reported raw.
 	var body struct {
-		Error json.RawMessage `json:"error"`
+		Error struct {
+			Message string `json:"message"`
+		} `json:"error"`
 	}
 	data, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-	_ = json.Unmarshal(data, &body)
-	var msg string
-	var structured struct {
-		Message string `json:"message"`
-	}
-	if json.Unmarshal(body.Error, &structured) == nil && structured.Message != "" {
-		msg = structured.Message
-	} else {
-		_ = json.Unmarshal(body.Error, &msg)
-	}
-	if msg == "" {
-		msg = strings.TrimSpace(string(data))
+	msg := strings.TrimSpace(string(data))
+	if json.Unmarshal(data, &body) == nil && body.Error.Message != "" {
+		msg = body.Error.Message
 	}
 	var base error
 	switch resp.StatusCode {

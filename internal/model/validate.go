@@ -3,7 +3,17 @@ package model
 import (
 	"errors"
 	"fmt"
+	"math"
+
+	"repro/internal/units"
 )
+
+// MaxHyperPeriodActivations bounds the activity instances one
+// hyper-period may hold: the sum over graphs of (H / period) times the
+// graph's activity count. The schedule table and the simulator grow
+// with it, so a system above the bound (a few coprime periods suffice)
+// is rejected before any table is built rather than exhausting memory.
+const MaxHyperPeriodActivations = 1 << 20
 
 // Validate checks the structural invariants the algorithms rely on:
 //
@@ -18,7 +28,9 @@ import (
 //   - ST messages have an SCS sender (their transmission instant comes
 //     from the schedule table, which requires a statically known
 //     producer);
-//   - C is positive for every activity.
+//   - C is positive for every activity;
+//   - the hyper-period fits in int64 nanoseconds and holds at most
+//     MaxHyperPeriodActivations activity instances.
 //
 // Validate returns all violations joined into a single error.
 func (s *System) Validate() error {
@@ -150,8 +162,40 @@ func (s *System) Validate() error {
 			errs = append(errs, err)
 		}
 	}
+	if len(errs) == 0 {
+		if err := s.App.checkHyperPeriod(); err != nil {
+			errs = append(errs, err)
+		}
+	}
 
 	return errors.Join(errs...)
+}
+
+// checkHyperPeriod computes the hyper-period without the overflow
+// panic of units.LCM and enforces MaxHyperPeriodActivations. Periods
+// must already be known positive.
+func (app *Application) checkHyperPeriod() error {
+	var h int64 = 1
+	for _, g := range app.Graphs {
+		p := int64(g.Period)
+		q := h / units.GCD(h, p)
+		if q > math.MaxInt64/p {
+			return errors.New("hyper-period (LCM of the graph periods) overflows int64 nanoseconds")
+		}
+		h = q * p
+	}
+	var n int64
+	for _, g := range app.Graphs {
+		// Clamping the instance count keeps the product from
+		// overflowing; one clamped graph already exceeds the bound.
+		inst := min(h/int64(g.Period), MaxHyperPeriodActivations+1)
+		n += inst * int64(len(g.Acts))
+		if n > MaxHyperPeriodActivations {
+			return fmt.Errorf("hyper-period %v holds more than %d activity instances",
+				units.Duration(h), MaxHyperPeriodActivations)
+		}
+	}
+	return nil
 }
 
 func contains(ids []ActID, id ActID) bool {

@@ -1,8 +1,11 @@
 package model
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/units"
 )
 
 // breakSystem applies a mutation to a valid system and asserts that
@@ -155,5 +158,51 @@ func TestValidateAggregatesAllViolations(t *testing.T) {
 	msg := err.Error()
 	if !strings.Contains(msg, "nodes") || !strings.Contains(msg, "period") {
 		t.Errorf("expected both violations in %q", msg)
+	}
+}
+
+// periodSystem builds one single-task graph per period (deadline =
+// period) on a 2-node platform, plus extra tasks in the last graph.
+func periodSystem(extra int, periods ...units.Duration) (*System, error) {
+	b := NewBuilder("periods", 2)
+	var g int
+	for i, p := range periods {
+		g = b.Graph(fmt.Sprintf("g%d", i), p, p)
+		b.Task(g, fmt.Sprintf("t%d", i), NodeID(i%2), 10*us, SCS)
+	}
+	for i := 0; i < extra; i++ {
+		b.Task(g, fmt.Sprintf("x%d", i), 0, 10*us, SCS)
+	}
+	return b.Build()
+}
+
+// TestValidateRejectsHyperPeriodOverflow: four coprime ~10 ms periods
+// have an LCM beyond int64 nanoseconds; validation must say so instead
+// of the hyper-period computation panicking later.
+func TestValidateRejectsHyperPeriodOverflow(t *testing.T) {
+	_, err := periodSystem(0, 9973*us, 9967*us, 9949*us, 9941*us)
+	if err == nil || !strings.Contains(err.Error(), "overflows") {
+		t.Fatalf("overflowing hyper-period accepted: %v", err)
+	}
+}
+
+// TestValidateRejectsHugeHyperPeriod: three coprime periods fit in
+// int64 but put ~10^8 instances of each graph in the hyper-period.
+func TestValidateRejectsHugeHyperPeriod(t *testing.T) {
+	_, err := periodSystem(0, 9973*us, 9967*us, 9949*us)
+	if err == nil || !strings.Contains(err.Error(), "activity instances") {
+		t.Fatalf("oversized hyper-period accepted: %v", err)
+	}
+}
+
+// TestValidateHyperPeriodBoundIsInclusive: exactly
+// MaxHyperPeriodActivations instances pass, one more fails.
+func TestValidateHyperPeriodBoundIsInclusive(t *testing.T) {
+	long := units.Duration(MaxHyperPeriodActivations-1) * ms
+	if _, err := periodSystem(0, ms, long); err != nil {
+		t.Fatalf("system at the bound rejected: %v", err)
+	}
+	if _, err := periodSystem(1, ms, long); err == nil || !strings.Contains(err.Error(), "activity instances") {
+		t.Fatalf("system one instance over the bound accepted: %v", err)
 	}
 }
