@@ -18,6 +18,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/perfreg"
+	"repro/internal/sched"
 )
 
 // BenchmarkFig1Trace regenerates the Fig. 1 protocol-mechanics trace
@@ -299,6 +300,27 @@ func BenchmarkEvalSession(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkBuildTable measures schedule-table construction alone —
+// the Fig. 2 list scheduler with first-fit placement, no analysis —
+// over the campaign-tt systems under their BBC configurations, the
+// workload `flexray-bench perf` runs as sched/build-table. One op is
+// one table.
+func BenchmarkBuildTable(b *testing.B) {
+	systems, cfgs, err := perfreg.BuildTableInputs()
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := sched.DefaultOptions()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(systems)
+		if _, err := sched.BuildTable(systems[k], cfgs[k], opts); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkPerfScenarios drives every scenario op of the

@@ -715,7 +715,7 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request, req *conf
 		httpError(w, http.StatusUnprocessableEntity, fmt.Sprintf("schedule construction failed: %v", bErr))
 		return
 	}
-	s.engine.Add(campaign.EngineStats{Evaluations: 1})
+	s.engine.Add(campaign.EngineStats{Evaluations: 1, TableBuilds: 1})
 	resp := analyzeResponse{
 		Schedulable: res.Schedulable,
 		Cost:        res.Cost,
@@ -773,7 +773,7 @@ func (s *server) handleSimulate(w http.ResponseWriter, r *http.Request, req *con
 		httpError(w, http.StatusUnprocessableEntity, sErr.Error())
 		return
 	}
-	s.engine.Add(campaign.EngineStats{Evaluations: 1})
+	s.engine.Add(campaign.EngineStats{Evaluations: 1, TableBuilds: 1})
 	resp := simulateResponse{
 		MaxResponseUs:  map[string]float64{},
 		Completions:    map[string]int{},

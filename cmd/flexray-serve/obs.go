@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/campaign"
 	"repro/internal/obs"
 )
 
@@ -47,22 +48,23 @@ func (s *server) newRegistry() *obs.Registry {
 // plain atomics, so a scrape never takes the manager lock. Called from
 // newServer once s.jobs exists.
 func (s *server) bindEngineMetrics() {
-	total := func() struct{ evals, hits, misses float64 } {
+	total := func() campaign.EngineStats {
 		st := s.jobs.EngineTotals()
 		st.Add(s.engine.Total())
-		return struct{ evals, hits, misses float64 }{
-			float64(st.Evaluations), float64(st.CacheHits), float64(st.CacheMisses),
-		}
+		return st
 	}
 	s.reg.CounterFunc("flexray_engine_evaluations_total",
 		"Real schedule+analysis evaluations across all endpoints and jobs.",
-		func() float64 { return total().evals })
+		func() float64 { return float64(total().Evaluations) })
 	s.reg.CounterFunc("flexray_engine_cache_hits_total",
 		"Evaluations answered from the campaign engine's cache.",
-		func() float64 { return total().hits })
+		func() float64 { return float64(total().CacheHits) })
 	s.reg.CounterFunc("flexray_engine_cache_misses_total",
 		"Evaluations that missed the campaign engine's cache and ran.",
-		func() float64 { return total().misses })
+		func() float64 { return float64(total().CacheMisses) })
+	s.reg.CounterFunc("flexray_engine_table_builds_total",
+		"Schedule tables the evaluations constructed (table-memo misses).",
+		func() float64 { return float64(total().TableBuilds) })
 }
 
 // route mounts a handler on the mux wrapped in the observability

@@ -161,6 +161,13 @@ func TestEndToEndTrace(t *testing.T) {
 	if sysSpan.Parent != runSpan.SpanID {
 		t.Errorf("campaign.system parent %s, want job.run %s", sysSpan.Parent, runSpan.SpanID)
 	}
+	attrs := map[string]any{}
+	for _, a := range sysSpan.Attrs {
+		attrs[a.Key] = a.Value()
+	}
+	if b, ok := attrs["table_builds"].(int64); !ok || b <= 0 || b > attrs["evaluations"].(int64) {
+		t.Errorf("campaign.system table_builds = %v, want 1..evaluations (%v)", attrs["table_builds"], attrs["evaluations"])
+	}
 	for _, opt := range []string{"opt.OBC-CF", "opt.SA"} {
 		if got := byName[opt][0].Parent; got != sysSpan.SpanID {
 			t.Errorf("%s parent %s, want campaign.system %s", opt, got, sysSpan.SpanID)

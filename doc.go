@@ -59,10 +59,14 @@
 // placement the schedule table depends only on the slot geometry, so
 // sessions additionally memoise tables by geometry and FrameID-only
 // moves (the simulated-annealing neighbourhood) skip table
-// construction entirely. Sessions are bit-identical to the
-// from-scratch pipeline — BuildSchedule plus a single-use analyzer —
-// which the test-suite pins by replaying shuffled candidate streams of
-// all four algorithms through one session.
+// construction entirely; a table that must be built comes from a list
+// scheduler that keeps its ready list in a binary heap, so each pick
+// costs O(log n) in the ready activity instances instead of a sort,
+// and its table in slices indexed by node and activity. Sessions are
+// bit-identical to the from-scratch pipeline — BuildSchedule plus a
+// single-use analyzer — which the test-suite pins by replaying
+// shuffled candidate streams of all four algorithms through one
+// session.
 //
 // # Validation
 //

@@ -121,6 +121,9 @@ type Analyzer struct {
 	r   []units.Duration
 	j   []units.Duration
 	has []bool
+	// numET counts the event-triggered activities, the most entries
+	// Result.J can hold.
+	numET int
 
 	// --- config-derived flat DYN state ---
 
@@ -219,6 +222,11 @@ func NewReusable(sys *model.System, opts Options) *Analyzer {
 	a.r = make([]units.Duration, n)
 	a.j = make([]units.Duration, n)
 	a.has = make([]bool, n)
+	for i := range app.Acts {
+		if !app.Acts[i].IsTT() {
+			a.numET++
+		}
+	}
 
 	a.dynMsgs = app.Messages(int(model.DYN))
 	a.dynIdx = make([]int32, n)
@@ -478,7 +486,7 @@ func (a *Analyzer) tableResponse(act *model.Activity) units.Duration {
 func (a *Analyzer) emit(res *Result) {
 	app := &a.sys.App
 	res.R = make(map[model.ActID]units.Duration, len(app.Acts))
-	res.J = make(map[model.ActID]units.Duration, len(app.Acts))
+	res.J = make(map[model.ActID]units.Duration, a.numET)
 	for i := range app.Acts {
 		act := &app.Acts[i]
 		if !a.has[act.ID] {

@@ -73,6 +73,9 @@ type EngineStats struct {
 	CacheHits int64 `json:"cache_hits"`
 	// CacheMisses counts evaluations that had to run.
 	CacheMisses int64 `json:"cache_misses"`
+	// TableBuilds counts the schedule tables the evaluations
+	// constructed; the rest came from the sessions' table memos.
+	TableBuilds int64 `json:"table_builds"`
 }
 
 // Add folds another snapshot into s.
@@ -80,13 +83,14 @@ func (s *EngineStats) Add(o EngineStats) {
 	s.Evaluations += o.Evaluations
 	s.CacheHits += o.CacheHits
 	s.CacheMisses += o.CacheMisses
+	s.TableBuilds += o.TableBuilds
 }
 
 // EngineCounters accumulate EngineStats from any number of goroutines;
 // the serving layer and the job manager track their process totals
 // with one. The zero value is ready to use.
 type EngineCounters struct {
-	evals, hits, misses atomic.Int64
+	evals, hits, misses, builds atomic.Int64
 }
 
 // Add folds one snapshot into the counters.
@@ -94,6 +98,7 @@ func (c *EngineCounters) Add(st EngineStats) {
 	c.evals.Add(st.Evaluations)
 	c.hits.Add(st.CacheHits)
 	c.misses.Add(st.CacheMisses)
+	c.builds.Add(st.TableBuilds)
 }
 
 // Total snapshots the accumulated counters.
@@ -102,6 +107,7 @@ func (c *EngineCounters) Total() EngineStats {
 		Evaluations: c.evals.Load(),
 		CacheHits:   c.hits.Load(),
 		CacheMisses: c.misses.Load(),
+		TableBuilds: c.builds.Load(),
 	}
 }
 
@@ -175,6 +181,7 @@ type Engine struct {
 	evals  atomic.Int64
 	hits   atomic.Int64
 	misses atomic.Int64
+	builds atomic.Int64
 }
 
 var _ core.EvalHook = (*Engine)(nil)
@@ -250,6 +257,7 @@ func (e *Engine) Stats() EngineStats {
 		Evaluations: e.evals.Load(),
 		CacheHits:   e.hits.Load(),
 		CacheMisses: e.misses.Load(),
+		TableBuilds: e.builds.Load(),
 	}
 }
 
@@ -341,5 +349,11 @@ func (e *Engine) run(sys *model.System, cfg *flexray.Config, opts sched.Options)
 		return nil, infeasibleCost
 	}
 	e.evals.Add(1)
-	return wk.session(sys, opts).Eval(cfg)
+	sess := wk.session(sys, opts)
+	before := sess.TableBuilds()
+	res, cost := sess.Eval(cfg)
+	if n := sess.TableBuilds() - before; n > 0 {
+		e.builds.Add(n)
+	}
+	return res, cost
 }

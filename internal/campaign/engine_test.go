@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/cruise"
 	"repro/internal/flexray"
 	"repro/internal/model"
 	"repro/internal/synth"
@@ -282,5 +283,41 @@ func TestEngineShardedCache(t *testing.T) {
 	}
 	if st.CacheHits != distinct || st.CacheMisses != distinct {
 		t.Errorf("hits/misses = %d/%d, want %d/%d", st.CacheHits, st.CacheMisses, distinct, distinct)
+	}
+}
+
+// cruiseCampaignTableBuilds is the number of schedule tables one
+// campaign pass over the cruise controller constructs at default
+// options: 2071 of its 2350 evaluations miss the session's table memo.
+// The count follows the memo, not the way a table is built, so it read
+// the same before the heap-ordered BuildTable as after.
+const cruiseCampaignTableBuilds = 2071
+
+// TestCampaignCountsTableBuilds pins the table-build counter through
+// the campaign path (one session, algorithms in turn, so the count is
+// deterministic) and its relation to the evaluation counter.
+func TestCampaignCountsTableBuilds(t *testing.T) {
+	sys, err := cruise.System()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec Record
+	err = RunSystems(context.Background(), []*model.System{sys}, core.DefaultOptions(), Options{Workers: 1},
+		func(r Record) error { rec = r; return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := rec.Engine
+	if st.TableBuilds != cruiseCampaignTableBuilds {
+		t.Errorf("cruise campaign built %d tables, pinned %d (%+v)", st.TableBuilds, cruiseCampaignTableBuilds, st)
+	}
+	if st.TableBuilds > st.Evaluations {
+		t.Errorf("more table builds than evaluations: %+v", st)
+	}
+	var total EngineCounters
+	total.Add(st)
+	total.Add(st)
+	if got := total.Total().TableBuilds; got != 2*st.TableBuilds {
+		t.Errorf("EngineCounters sum %d table builds, want %d", got, 2*st.TableBuilds)
 	}
 }

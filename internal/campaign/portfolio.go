@@ -70,6 +70,7 @@ func endSystemSpan(sp *obs.Span, st EngineStats) {
 	sp.SetInt("evaluations", st.Evaluations)
 	sp.SetInt("cache_hits", st.CacheHits)
 	sp.SetInt("cache_misses", st.CacheMisses)
+	sp.SetInt("table_builds", st.TableBuilds)
 	sp.End()
 }
 

@@ -50,6 +50,9 @@ type Session struct {
 	an   *analysis.Analyzer
 
 	tables map[tableKey]tableEntry
+	// builds counts the schedule tables this session constructed:
+	// memo misses, plus every candidate under holistic placement.
+	builds int64
 	// batch holds the pooled scratch of EvalBatch's signature-grouping
 	// planner, so steady-state batches only allocate their result
 	// slices.
@@ -139,6 +142,10 @@ func (s *Session) EvalBatch(cfgs []*flexray.Config) ([]*analysis.Result, []float
 	return ress, costs
 }
 
+// TableBuilds reports how many schedule tables the session has
+// constructed; evaluations the table memo answered do not count.
+func (s *Session) TableBuilds() int64 { return s.builds }
+
 // batchScratch pools the buffers of batchOrder across EvalBatch calls.
 type batchScratch struct {
 	sig    []int64
@@ -205,6 +212,7 @@ func (s *Session) table(cfg *flexray.Config) (*schedule.Table, error) {
 		// Holistic placement runs the analysis against the candidate's
 		// FrameID assignment while inserting tasks: the table depends
 		// on the full configuration and cannot be shared.
+		s.builds++
 		return sched.BuildTable(s.sys, cfg, s.opts)
 	}
 	if s.last.valid &&
@@ -222,6 +230,7 @@ func (s *Session) table(cfg *flexray.Config) (*schedule.Table, error) {
 	}
 	e, ok := s.tables[key]
 	if !ok {
+		s.builds++
 		table, err := sched.BuildTable(s.sys, cfg, s.opts)
 		if len(s.tables) >= sessionTableCap {
 			clear(s.tables)

@@ -471,6 +471,14 @@ func (m *Manager) CompleteLease(leaseID, workerID string, records []campaign.Rec
 		return ErrLeaseStale
 	}
 	lj := m.leaseOwner[leaseID]
+	if lj.j.userCancel {
+		// The job is being cancelled and its runner has not yet woken
+		// to release the leases as gone; answer that now instead of
+		// re-queueing a shard of a job that is leaving.
+		m.releaseShardLocked(sh, ErrLeaseGone)
+		m.mu.Unlock()
+		return ErrLeaseGone
+	}
 	m.leaseWorkers[workerID] = now
 	if workerErr != "" {
 		// Worker-reported failure: back to pending for another worker

@@ -266,6 +266,30 @@ func TestLeaseFailureRequeue(t *testing.T) {
 	waitStatus(t, m, job.ID, StatusDone)
 }
 
+// TestCancelledJobLeaseGone: a lease of a job cancelled while the
+// lease is out answers ErrLeaseGone at once, even when the report
+// arrives before the job's runner has woken to release its leases; it
+// is never re-queued as a worker failure.
+func TestCancelledJobLeaseGone(t *testing.T) {
+	m := newTestManager(t, nil, ManagerOptions{Workers: 1, LeaseSystems: 1, LeaseTTL: 10 * time.Second})
+	job := submitDistributed(t, m, 1)
+
+	g, err := m.ClaimLease("w")
+	if err != nil || g == nil {
+		t.Fatalf("claim: %v, %v", g, err)
+	}
+	if _, err := m.Cancel(job.ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.CompleteLease(g.LeaseID, "w", nil, "reporting into a cancelled job"); !errors.Is(err, ErrLeaseGone) {
+		t.Fatalf("completing right after the cancel: %v, want ErrLeaseGone", err)
+	}
+	waitStatus(t, m, job.ID, StatusCancelled)
+	if err := m.CompleteLease(g.LeaseID, "w", nil, "again"); !errors.Is(err, ErrLeaseGone) {
+		t.Fatalf("completing after the job left: %v, want ErrLeaseGone", err)
+	}
+}
+
 // TestCompleteLeasePayloadMismatch: a record count that does not match
 // the shard range is rejected with ErrLeasePayload and the lease stays
 // held.

@@ -173,12 +173,20 @@ func (m *Manager) runSweep(ctx context.Context, j *job, c *compiled) (*Result, e
 				session = core.NewSession(c.sys, c.opts.Sched)
 			}
 			for i := range idxc {
+				var before int64
+				if session != nil {
+					before = session.TableBuilds()
+				}
 				pt := sweepPoint(c.sys, c.cfgs[i], c.opts, session, i, j.spec.Repetitions)
+				st := campaign.EngineStats{Evaluations: 1, TableBuilds: 1} // the simulate path builds its own table
+				if session != nil {
+					st.TableBuilds = session.TableBuilds() - before
+				}
 				points[i] = pt
-				m.engine.Add(campaign.EngineStats{Evaluations: 1})
+				m.engine.Add(st)
 				m.updateProgress(j, func(p *Progress) {
 					p.Completed++
-					p.Engine.Evaluations++
+					p.Engine.Add(st)
 					if pt.Err != "" {
 						return
 					}

@@ -12,25 +12,28 @@ import (
 // and tests are reproducible.
 func (app *Application) TopoOrder(g int) ([]ActID, error) {
 	members := app.Graphs[g].Acts
-	indeg := make(map[ActID]int, len(members))
-	for _, id := range members {
-		indeg[id] = len(app.Act(id).Preds)
+	// indeg is indexed by ActID. Activities outside the graph start at
+	// -1, so an edge leaving the graph never releases them.
+	indeg := make([]int32, len(app.Acts))
+	for i := range indeg {
+		indeg[i] = -1
 	}
-	var queue []ActID
+	for _, id := range members {
+		indeg[id] = int32(len(app.Act(id).Preds))
+	}
+	// order doubles as the FIFO queue: every activity is appended when
+	// its last predecessor is taken and taken in append order.
+	order := make([]ActID, 0, len(members))
 	for _, id := range members {
 		if indeg[id] == 0 {
-			queue = append(queue, id)
+			order = append(order, id)
 		}
 	}
-	order := make([]ActID, 0, len(members))
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		order = append(order, id)
-		for _, s := range app.Act(id).Succs {
+	for head := 0; head < len(order); head++ {
+		for _, s := range app.Act(order[head]).Succs {
 			indeg[s]--
 			if indeg[s] == 0 {
-				queue = append(queue, s)
+				order = append(order, s)
 			}
 		}
 	}
@@ -63,28 +66,29 @@ func (app *Application) LongestPathTo(g int) (map[ActID]units.Duration, error) {
 	return lp, nil
 }
 
-// RemainingPath returns, for every activity of graph g, the length of
-// the longest path from the activity (inclusive) to any sink. This is
-// the (modified) critical-path metric used to order the ready list of
-// the global scheduling algorithm (Fig. 2, per ref [12]).
-func (app *Application) RemainingPath(g int) (map[ActID]units.Duration, error) {
+// RemainingPath fills rem[id], for every activity id of graph g, with
+// the length of the longest path from the activity (inclusive) to any
+// sink. This is the (modified) critical-path metric used to order the
+// ready list of the global scheduling algorithm (Fig. 2, per ref [12]).
+// rem is indexed by ActID and spans len(app.Acts); entries of other
+// graphs are left as they are.
+func (app *Application) RemainingPath(g int, rem []units.Duration) error {
 	order, err := app.TopoOrder(g)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	rp := make(map[ActID]units.Duration, len(order))
 	for i := len(order) - 1; i >= 0; i-- {
 		id := order[i]
 		a := app.Act(id)
 		var best units.Duration
 		for _, s := range a.Succs {
-			if rp[s] > best {
-				best = rp[s]
+			if rem[s] > best {
+				best = rem[s]
 			}
 		}
-		rp[id] = units.SatAdd(best, a.C)
+		rem[id] = units.SatAdd(best, a.C)
 	}
-	return rp, nil
+	return nil
 }
 
 // Criticality returns CPm = Dm - LPm (Eq. 4) for every DYN message in

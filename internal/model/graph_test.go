@@ -90,8 +90,8 @@ func TestLongestPathTo(t *testing.T) {
 
 func TestRemainingPath(t *testing.T) {
 	s := diamond(t)
-	rp, err := s.App.RemainingPath(0)
-	if err != nil {
+	rp := make([]units.Duration, len(s.App.Acts))
+	if err := s.App.RemainingPath(0, rp); err != nil {
 		t.Fatal(err)
 	}
 	// From a: a+m1+c+m2+d = 640µs dominates a+b+d = 450µs.
@@ -109,7 +109,8 @@ func TestLongestPlusRemainingConsistency(t *testing.T) {
 	// and the maximum over activities equals the critical path.
 	s := diamond(t)
 	lp, _ := s.App.LongestPathTo(0)
-	rp, _ := s.App.RemainingPath(0)
+	rp := make([]units.Duration, len(s.App.Acts))
+	_ = s.App.RemainingPath(0, rp)
 	var critical units.Duration
 	for _, idd := range s.App.Graphs[0].Acts {
 		through := lp[idd] + rp[idd] - s.App.Act(idd).C

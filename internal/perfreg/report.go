@@ -84,13 +84,17 @@ type ScenarioResult struct {
 // Report is one BENCH_<seq>.json: the performance trajectory entry of
 // one PR.
 type Report struct {
-	SchemaVersion int              `json:"schema_version"`
-	Seq           int              `json:"seq"`
-	GitSHA        string           `json:"git_sha,omitempty"`
-	GeneratedAt   time.Time        `json:"generated_at"`
-	Quick         bool             `json:"quick,omitempty"`
-	Env           Environment      `json:"env"`
-	Scenarios     []ScenarioResult `json:"scenarios"`
+	SchemaVersion int         `json:"schema_version"`
+	Seq           int         `json:"seq"`
+	GitSHA        string      `json:"git_sha,omitempty"`
+	GeneratedAt   time.Time   `json:"generated_at"`
+	Quick         bool        `json:"quick,omitempty"`
+	Env           Environment `json:"env"`
+	// ABVerdict is the paired parent/change comparison that justified
+	// committing this report as a baseline, in prose. The harness
+	// leaves it empty; the change that blesses the report fills it in.
+	ABVerdict string           `json:"ab_verdict,omitempty"`
+	Scenarios []ScenarioResult `json:"scenarios"`
 }
 
 // Scenario returns the named result, or nil.

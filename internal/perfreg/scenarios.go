@@ -98,6 +98,40 @@ func Fig7Population(n int) []synth.Params {
 	return specs
 }
 
+// buildTableSystems is the population size of the sched/build-table
+// scenario: one campaign-tt job's worth of systems.
+const buildTableSystems = 24
+
+// BuildTableInputs returns the sched/build-table workload: the first
+// systems of the campaign-tt benchmark population at seed 1 — seven
+// nodes of ten tasks, all time-triggered (TT share 1.0, so no DYN
+// message), bus utilisation 0.50-0.70, deadlines equal to periods —
+// each paired with its BBC configuration. Table construction dominates
+// the evaluation of such systems.
+func BuildTableInputs() ([]*model.System, []*flexray.Config, error) {
+	var (
+		systems []*model.System
+		cfgs    []*flexray.Config
+	)
+	for i := 0; i < buildTableSystems; i++ {
+		sp := synth.DefaultParams(7, 1000+int64(i))
+		sp.TTShare = 1.0
+		sp.BusUtilMin, sp.BusUtilMax = 0.50, 0.70
+		sp.DeadlineFactor = 1.0
+		sys, err := synth.Generate(sp)
+		if err != nil {
+			return nil, nil, err
+		}
+		res, err := core.BBC(sys, CampaignTuning())
+		if err != nil {
+			return nil, nil, err
+		}
+		systems = append(systems, sys)
+		cfgs = append(cfgs, res.Config)
+	}
+	return systems, cfgs, nil
+}
+
 // CampaignTuning bounds the optimiser budgets so one campaign pass
 // over a Fig. 7 system stays well under a second and the scenarios
 // (and scaling benchmarks) iterate.
@@ -143,6 +177,16 @@ func Suite() []*Scenario {
 			AllocWarmup: 2 * SessionConfigCount,
 			AllocOps:    4 * SessionConfigCount,
 			Setup:       evalSetup(true),
+		},
+		{
+			Name:        "sched/build-table",
+			Description: "schedule-table construction alone (Fig. 2 list scheduler, first fit) over the campaign-tt systems",
+			Unit:        "table",
+			Serial:      true,
+			OpsPerCall:  buildTableSystems,
+			AllocWarmup: 1,
+			AllocOps:    2,
+			Setup:       buildTableSetup,
 		},
 		{
 			Name:        "campaign/serial",
@@ -296,6 +340,24 @@ func evalSetup(session bool) func() (func() error, func(), error) {
 			return err
 		}, nil, nil
 	}
+}
+
+// buildTableSetup builds one table per campaign-tt system under its
+// BBC configuration.
+func buildTableSetup() (func() error, func(), error) {
+	systems, cfgs, err := BuildTableInputs()
+	if err != nil {
+		return nil, nil, err
+	}
+	opts := sched.DefaultOptions()
+	return func() error {
+		for i, sys := range systems {
+			if _, err := sched.BuildTable(sys, cfgs[i], opts); err != nil {
+				return fmt.Errorf("%s: %w", sys.Name, err)
+			}
+		}
+		return nil
+	}, nil, nil
 }
 
 // campaignSetup builds one campaign pass over the shared population

@@ -9,7 +9,7 @@ package sched
 
 import (
 	"fmt"
-	"sort"
+	"math"
 
 	"repro/internal/analysis"
 	"repro/internal/flexray"
@@ -36,13 +36,6 @@ type Options struct {
 // DefaultOptions returns first-fit placement with default analysis.
 func DefaultOptions() Options {
 	return Options{PlacementCandidates: 1, Analysis: analysis.DefaultOptions()}
-}
-
-// instKey identifies one instance of a TT activity inside the
-// hyper-period.
-type instKey struct {
-	act  model.ActID
-	inst int
 }
 
 // Build runs the global scheduling algorithm for the given bus
@@ -77,74 +70,88 @@ func BuildTable(sys *model.System, cfg *flexray.Config, opts Options) (*schedule
 	horizon := app.HyperPeriod()
 	table := schedule.New(cfg, horizon)
 
-	type node struct {
-		key      instKey
-		release  units.Time // graph instance release + own offset
-		asap     units.Time
-		remain   units.Duration // critical-path priority
-		pendPred int            // unscheduled TT predecessors
-	}
-	nodes := map[instKey]*node{}
-	var ready []*node
-
-	// Instantiate every TT activity for each graph instance in the
-	// hyper-period.
+	// Lay every instance of every TT activity out in one flat slice:
+	// instance i of activity a lives at slots[a].off + i*slots[a].stride,
+	// so successor lookup is arithmetic, not a map probe.
+	slots := make([]actSlot, len(app.Acts))
+	remain := make([]units.Duration, len(app.Acts))
+	total := 0
 	for g := range app.Graphs {
 		tg := &app.Graphs[g]
-		rp, err := app.RemainingPath(g)
-		if err != nil {
+		if err := app.RemainingPath(g, remain); err != nil {
 			return nil, err
 		}
 		n := int64(horizon / tg.Period)
 		if n == 0 {
 			n = 1
 		}
-		for inst := int64(0); inst < n; inst++ {
-			base := units.Time(int64(tg.Period) * inst)
-			for _, id := range tg.Acts {
-				a := app.Act(id)
-				if !a.IsTT() {
-					continue
+		stride := 0
+		for _, id := range tg.Acts {
+			if app.Act(id).IsTT() {
+				stride++
+			}
+		}
+		if stride > 0 && n > int64(math.MaxInt32-total)/int64(stride) {
+			return nil, fmt.Errorf("sched: more than %d activity instances in the hyper-period", math.MaxInt32)
+		}
+		local := 0
+		for _, id := range tg.Acts {
+			if app.Act(id).IsTT() {
+				slots[id] = actSlot{off: total + local, stride: stride, n: int(n)}
+				local++
+			}
+		}
+		total += int(n) * stride
+	}
+	table.Reserve(app, func(id model.ActID) int { return slots[id].n })
+
+	nodes := make([]node, total)
+	h := readyHeap{nodes: nodes}
+	for g := range app.Graphs {
+		tg := &app.Graphs[g]
+		for _, id := range tg.Acts {
+			a := app.Act(id)
+			if !a.IsTT() {
+				continue
+			}
+			var pend int32
+			for _, p := range a.Preds {
+				if app.Act(p).IsTT() {
+					pend++
 				}
-				pend := 0
-				for _, p := range a.Preds {
-					if app.Act(p).IsTT() {
-						pend++
-					}
-				}
-				nd := &node{
-					key:      instKey{id, int(inst)},
-					release:  base.Add(a.Release),
-					remain:   rp[id],
+			}
+			sl := slots[id]
+			for inst := 0; inst < sl.n; inst++ {
+				i := sl.off + inst*sl.stride
+				nodes[i] = node{
+					// graph instance release + own offset
+					asap:     units.Time(int64(tg.Period) * int64(inst)).Add(a.Release),
+					remain:   remain[id],
+					act:      id,
+					inst:     int32(inst),
 					pendPred: pend,
 				}
-				nd.asap = nd.release
-				nodes[nd.key] = nd
 				if pend == 0 {
-					ready = append(ready, nd)
+					h.push(int32(i))
 				}
 			}
 		}
 	}
 
 	finish := func(nd *node, f units.Time) {
-		a := app.Act(nd.key.act)
-		for _, s := range a.Succs {
-			sa := app.Act(s)
-			if !sa.IsTT() {
+		for _, s := range app.Act(nd.act).Succs {
+			sl := slots[s]
+			if sl.stride == 0 || int(nd.inst) >= sl.n {
 				continue
 			}
-			sk := instKey{s, nd.key.inst}
-			sn, ok := nodes[sk]
-			if !ok {
-				continue
-			}
+			i := sl.off + int(nd.inst)*sl.stride
+			sn := &nodes[i]
 			if f > sn.asap {
 				sn.asap = f
 			}
 			sn.pendPred--
 			if sn.pendPred == 0 {
-				ready = append(ready, sn)
+				h.push(int32(i))
 			}
 		}
 	}
@@ -158,35 +165,21 @@ func BuildTable(sys *model.System, cfg *flexray.Config, opts Options) (*schedule
 		trialAn = analysis.NewReusable(sys, opts.Analysis)
 	}
 
-	for len(ready) > 0 {
+	for len(h.idx) > 0 {
 		// Select the ready activity with the greatest remaining
 		// critical path (Fig. 2 line 2); earliest ASAP breaks ties,
 		// then id for determinism.
-		sort.Slice(ready, func(i, j int) bool {
-			a, b := ready[i], ready[j]
-			if a.remain != b.remain {
-				return a.remain > b.remain
-			}
-			if a.asap != b.asap {
-				return a.asap < b.asap
-			}
-			if a.key.act != b.key.act {
-				return a.key.act < b.key.act
-			}
-			return a.key.inst < b.key.inst
-		})
-		nd := ready[0]
-		ready = ready[1:]
-		a := app.Act(nd.key.act)
+		nd := &nodes[h.pop()]
+		a := app.Act(nd.act)
 
 		if a.IsTask() {
-			start, err := placeTask(cfg, table, trialAn, nd.key, a, nd.asap, opts)
+			start, err := placeTask(cfg, table, trialAn, nd.act, int(nd.inst), a, nd.asap, opts)
 			if err != nil {
 				return nil, err
 			}
 			finish(nd, start.Add(a.C))
 		} else {
-			e, err := table.PlaceMessage(app, nd.key.act, nd.key.inst, nd.asap)
+			e, err := table.PlaceMessage(app, nd.act, int(nd.inst), nd.asap)
 			if err != nil {
 				return nil, fmt.Errorf("sched: %w", err)
 			}
@@ -196,6 +189,84 @@ func BuildTable(sys *model.System, cfg *flexray.Config, opts Options) (*schedule
 	return table, nil
 }
 
+// actSlot locates the instances of one activity in the flat node
+// slice of a build: instance i lives at off + i*stride, for i < n.
+// Non-TT activities keep the zero value (stride 0).
+type actSlot struct {
+	off, stride, n int
+}
+
+// node is one instance of a TT activity inside the hyper-period.
+type node struct {
+	asap     units.Time
+	remain   units.Duration // critical-path priority
+	act      model.ActID
+	inst     int32
+	pendPred int32 // unscheduled TT predecessors
+}
+
+// readyHeap is the ready list of the list scheduler: a binary min-heap
+// of indices into nodes under the strict total order of before. A
+// node's key is final once it is ready — asap only moves while
+// predecessors are pending — so popping the heap yields exactly the
+// node a full sort of the ready list would put first.
+type readyHeap struct {
+	nodes []node
+	idx   []int32
+}
+
+// before orders ready nodes: greatest remaining critical path first,
+// then earliest ASAP, then activity id and instance.
+func (h *readyHeap) before(i, j int32) bool {
+	a, b := &h.nodes[i], &h.nodes[j]
+	if a.remain != b.remain {
+		return a.remain > b.remain
+	}
+	if a.asap != b.asap {
+		return a.asap < b.asap
+	}
+	if a.act != b.act {
+		return a.act < b.act
+	}
+	return a.inst < b.inst
+}
+
+func (h *readyHeap) push(i int32) {
+	h.idx = append(h.idx, i)
+	c := len(h.idx) - 1
+	for c > 0 {
+		p := (c - 1) / 2
+		if !h.before(h.idx[c], h.idx[p]) {
+			break
+		}
+		h.idx[c], h.idx[p] = h.idx[p], h.idx[c]
+		c = p
+	}
+}
+
+func (h *readyHeap) pop() int32 {
+	top := h.idx[0]
+	last := len(h.idx) - 1
+	h.idx[0] = h.idx[last]
+	h.idx = h.idx[:last]
+	p := 0
+	for {
+		c := 2*p + 1
+		if c >= last {
+			break
+		}
+		if r := c + 1; r < last && h.before(h.idx[r], h.idx[c]) {
+			c = r
+		}
+		if !h.before(h.idx[c], h.idx[p]) {
+			break
+		}
+		h.idx[c], h.idx[p] = h.idx[p], h.idx[c]
+		p = c
+	}
+	return top
+}
+
 // placeTask implements schedule_TT_task: it finds candidate start
 // times at or after the task's ASAP and keeps the one the holistic
 // analysis likes best (or plain first-fit when only one candidate is
@@ -203,12 +274,12 @@ func BuildTable(sys *model.System, cfg *flexray.Config, opts Options) (*schedule
 // trial table; the configuration-derived analysis caches survive every
 // rebind because cfg never changes within one build.
 func placeTask(cfg *flexray.Config, table *schedule.Table, trialAn *analysis.Analyzer,
-	key instKey, a *model.Activity, asap units.Time, opts Options) (units.Time, error) {
+	act model.ActID, inst int, a *model.Activity, asap units.Time, opts Options) (units.Time, error) {
 
 	k := opts.PlacementCandidates
 	if k <= 1 {
 		start := table.FirstGap(a.Node, asap, a.C)
-		return start, table.PlaceTask(key.act, key.inst, a.Node, start, a.C)
+		return start, table.PlaceTask(act, inst, a.Node, start, a.C)
 	}
 
 	cands := table.Gaps(a.Node, asap, a.C, k)
@@ -219,7 +290,7 @@ func placeTask(cfg *flexray.Config, table *schedule.Table, trialAn *analysis.Ana
 	bestCost := 0.0
 	for i, start := range cands {
 		trial := table.Clone()
-		if err := trial.PlaceTask(key.act, key.inst, a.Node, start, a.C); err != nil {
+		if err := trial.PlaceTask(act, inst, a.Node, start, a.C); err != nil {
 			continue
 		}
 		trialAn.Reset(cfg, trial)
@@ -229,5 +300,5 @@ func placeTask(cfg *flexray.Config, table *schedule.Table, trialAn *analysis.Ana
 		}
 	}
 	start := cands[bestIdx]
-	return start, table.PlaceTask(key.act, key.inst, a.Node, start, a.C)
+	return start, table.PlaceTask(act, inst, a.Node, start, a.C)
 }

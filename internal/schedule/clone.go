@@ -1,39 +1,34 @@
 package schedule
 
-import (
-	"repro/internal/model"
-	"repro/internal/units"
-)
+import "maps"
 
 // Clone deep-copies the table. The global scheduling algorithm clones
 // tables to evaluate alternative placements of an SCS task against the
 // holistic analysis before committing one (Fig. 2 line 11).
 func (t *Table) Clone() *Table {
-	c := &Table{
+	return &Table{
 		Cfg:      t.Cfg,
 		Horizon:  t.Horizon,
 		Tasks:    append([]TaskEntry(nil), t.Tasks...),
 		Msgs:     append([]MsgEntry(nil), t.Msgs...),
-		nodeBusy: make(map[model.NodeID][]Interval, len(t.nodeBusy)),
-		slotUsed: make(map[slotKey]units.Duration, len(t.slotUsed)),
-		taskAt:   make(map[model.ActID][]int, len(t.taskAt)),
-		msgAt:    make(map[model.ActID][]int, len(t.msgAt)),
+		nodeBusy: cloneEach(t.nodeBusy),
+		taskAt:   cloneEach(t.taskAt),
+		msgAt:    cloneEach(t.msgAt),
+		slotUsed: maps.Clone(t.slotUsed),
 		// The availability memo is intentionally NOT shared: the
 		// clone exists to be mutated, and clone-side invalidation
 		// must never poison (or race with) the original's memo.
-		avail: map[model.NodeID]*Availability{},
 	}
-	for k, v := range t.nodeBusy {
-		c.nodeBusy[k] = append([]Interval(nil), v...)
+}
+
+// cloneEach deep-copies a slice of slices.
+func cloneEach[T any](s [][]T) [][]T {
+	if s == nil {
+		return nil
 	}
-	for k, v := range t.slotUsed {
-		c.slotUsed[k] = v
+	out := make([][]T, len(s))
+	for i, v := range s {
+		out[i] = append([]T(nil), v...)
 	}
-	for k, v := range t.taskAt {
-		c.taskAt[k] = append([]int(nil), v...)
-	}
-	for k, v := range t.msgAt {
-		c.msgAt[k] = append([]int(nil), v...)
-	}
-	return c
+	return out
 }

@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -352,5 +353,99 @@ func TestBusyBoundaries(t *testing.T) {
 	}
 	if b[0] != 0 || b[1] != units.Time(100*us) || b[2] != units.Time(500*us) {
 		t.Errorf("BusyBoundaries = %v", b)
+	}
+}
+
+// TestAvailabilityMemoFollowsPlacements pins the per-node memo: a
+// placement on a node drops that node's memoised supply function and
+// no other, a clone starts with its own memo, and nodes and activities
+// the table never touched read as empty.
+func TestAvailabilityMemoFollowsPlacements(t *testing.T) {
+	tb := New(cfg2(), units.Duration(1*ms))
+	if err := tb.PlaceTask(0, 0, 0, units.Time(100*us), 100*us); err != nil {
+		t.Fatal(err)
+	}
+	av0, av1 := tb.Availability(0), tb.Availability(1)
+	if av0.TotalBusy() != 100*us || av1.TotalBusy() != 0 {
+		t.Fatalf("busy = %v and %v, want 100µs and 0", av0.TotalBusy(), av1.TotalBusy())
+	}
+	cl := tb.Clone()
+	if err := tb.PlaceTask(1, 0, 0, units.Time(500*us), 100*us); err != nil {
+		t.Fatal(err)
+	}
+	if got := tb.Availability(0).TotalBusy(); got != 200*us {
+		t.Errorf("after a placement node 0 is busy %v, want 200µs", got)
+	}
+	if tb.Availability(1) != av1 {
+		t.Error("a placement on node 0 dropped node 1's supply function")
+	}
+	if got := cl.Availability(0).TotalBusy(); got != 100*us {
+		t.Errorf("clone sees the original's later placement: busy %v, want 100µs", got)
+	}
+	if got := tb.Availability(7); got.TotalBusy() != 0 || len(got.BusyBoundaries()) != 1 {
+		t.Errorf("untouched node 7: busy %v, boundaries %v", got.TotalBusy(), got.BusyBoundaries())
+	}
+	if tb.Busy(7) != nil || tb.TaskEntryIndices(42) != nil || tb.MsgEntryIndices(42) != nil || tb.Busy(-1) != nil {
+		t.Error("out-of-range reads are not empty")
+	}
+}
+
+// TestReserveKeepsContent: a reserved table holds exactly what an
+// unreserved one does after the same placements, including an activity
+// placed more often than reserved, whose index list must then copy
+// instead of overwriting its neighbour's in the shared backing array.
+func TestReserveKeepsContent(t *testing.T) {
+	sys := msgSystem(t, 3, 20*us)
+	app := &sys.App
+	plain, reserved := New(cfg2(), 10*ms), New(cfg2(), 10*ms)
+	reserved.Reserve(app, func(id model.ActID) int {
+		if app.Act(id).IsTT() {
+			return 1
+		}
+		return 0
+	})
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	start := units.Time(0)
+	for _, id := range []model.ActID{0, 3, 6, 0} { // sender 0 twice
+		for _, tb := range []*Table{plain, reserved} {
+			must(tb.PlaceTask(id, len(tb.TaskEntryIndices(id)), 0, start, 10*us))
+		}
+		start = start.Add(10 * us)
+	}
+	msgs := app.Messages(int(model.ST))
+	for _, m := range append(msgs, msgs[0]) { // message 0 twice
+		for _, tb := range []*Table{plain, reserved} {
+			if _, err := tb.PlaceMessage(app, m, len(tb.MsgEntryIndices(m)), 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if !reflect.DeepEqual(plain.Tasks, reserved.Tasks) || !reflect.DeepEqual(plain.Msgs, reserved.Msgs) {
+		t.Fatalf("entries differ:\n plain %v %v\n reserved %v %v", plain.Tasks, plain.Msgs, reserved.Tasks, reserved.Msgs)
+	}
+	for n := model.NodeID(0); n < 2; n++ {
+		if !reflect.DeepEqual(plain.Busy(n), reserved.Busy(n)) {
+			t.Errorf("Busy(%d): plain %v, reserved %v", n, plain.Busy(n), reserved.Busy(n))
+		}
+	}
+	for i := range app.Acts {
+		id := model.ActID(i)
+		if got, want := reserved.TaskEntryIndices(id), plain.TaskEntryIndices(id); !reflect.DeepEqual(got, want) {
+			t.Errorf("TaskEntryIndices(%d) = %v, want %v", id, got, want)
+		}
+		if got, want := reserved.MsgEntryIndices(id), plain.MsgEntryIndices(id); !reflect.DeepEqual(got, want) {
+			t.Errorf("MsgEntryIndices(%d) = %v, want %v", id, got, want)
+		}
+	}
+	// A table that already holds entries is left as it is.
+	before := len(reserved.Tasks)
+	reserved.Reserve(app, func(model.ActID) int { return 5 })
+	if len(reserved.Tasks) != before || !reflect.DeepEqual(plain.Tasks, reserved.Tasks) {
+		t.Error("Reserve changed a filled table")
 	}
 }
