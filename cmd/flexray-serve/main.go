@@ -703,10 +703,16 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request, req *conf
 	}
 	var (
 		res  *analysis.Result
+		st   analysis.Stats
 		bErr error
 	)
 	if err := s.compute(r.Context(), func() {
-		_, res, bErr = sched.Build(sys, cfg, sched.DefaultOptions())
+		opts := sched.DefaultOptions()
+		var table *schedule.Table
+		if table, bErr = sched.BuildTable(sys, cfg, opts); bErr == nil {
+			an := analysis.New(sys, cfg, table, opts.Analysis)
+			res, st = an.Run(), an.Stats()
+		}
 	}); err != nil {
 		computeError(w, err)
 		return
@@ -715,7 +721,7 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request, req *conf
 		httpError(w, http.StatusUnprocessableEntity, fmt.Sprintf("schedule construction failed: %v", bErr))
 		return
 	}
-	s.engine.Add(campaign.EngineStats{Evaluations: 1, TableBuilds: 1})
+	s.engine.Add(campaign.EngineStats{Evaluations: 1, TableBuilds: 1, Analysis: st})
 	resp := analyzeResponse{
 		Schedulable: res.Schedulable,
 		Cost:        res.Cost,

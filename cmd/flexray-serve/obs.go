@@ -65,6 +65,18 @@ func (s *server) bindEngineMetrics() {
 	s.reg.CounterFunc("flexray_engine_table_builds_total",
 		"Schedule tables the evaluations constructed (table-memo misses).",
 		func() float64 { return float64(total().TableBuilds) })
+	s.reg.CounterFunc("flexray_analysis_passes_total",
+		"Outer passes of the holistic analysis' jitter fixpoint.",
+		func() float64 { return float64(total().Analysis.Passes) })
+	s.reg.CounterFunc("flexray_analysis_cores_computed_total",
+		"Event-triggered response cores (FPS busy windows, DYN Eq. (3) solves) computed.",
+		func() float64 { return float64(total().Analysis.CoresComputed) })
+	s.reg.CounterFunc("flexray_analysis_cores_reused_total",
+		"Event-triggered response cores reused because no interferer's jitter had moved.",
+		func() float64 { return float64(total().Analysis.CoresReused) })
+	s.reg.CounterFunc("flexray_analysis_eq3_iterations_total",
+		"Iterations of the DYN Eq. (3) fixpoint.",
+		func() float64 { return float64(total().Analysis.Eq3Iterations) })
 }
 
 // route mounts a handler on the mux wrapped in the observability

@@ -168,6 +168,9 @@ func TestEndToEndTrace(t *testing.T) {
 	if b, ok := attrs["table_builds"].(int64); !ok || b <= 0 || b > attrs["evaluations"].(int64) {
 		t.Errorf("campaign.system table_builds = %v, want 1..evaluations (%v)", attrs["table_builds"], attrs["evaluations"])
 	}
+	if p, ok := attrs["analysis_passes"].(int64); !ok || p <= 0 {
+		t.Errorf("campaign.system analysis_passes = %v, want > 0", attrs["analysis_passes"])
+	}
 	for _, opt := range []string{"opt.OBC-CF", "opt.SA"} {
 		if got := byName[opt][0].Parent; got != sysSpan.SpanID {
 			t.Errorf("%s parent %s, want campaign.system %s", opt, got, sysSpan.SpanID)

@@ -115,15 +115,18 @@ type Analyzer struct {
 
 	// --- fixpoint scratch, by ActID, cleared per Run ---
 
-	// r/j hold the current response-time and jitter iterates; has[id]
-	// records whether an entry was ever written (mirroring presence in
-	// the Result maps the fixpoint used to read).
-	r   []units.Duration
-	j   []units.Duration
-	has []bool
+	// st holds the iteration state of every activity: the response
+	// time and jitter iterates and the memoised jitter-independent core
+	// of each ET response (see etResponse).
+	st []actState
+	// tick counts the jitter changes of the current Run; actState.jAt
+	// and actState.coreAt are stamped with it.
+	tick int64
 	// numET counts the event-triggered activities, the most entries
 	// Result.J can hold.
 	numET int
+	// stats accumulates the work counters of every Run.
+	stats Stats
 
 	// --- config-derived flat DYN state ---
 
@@ -153,6 +156,60 @@ type Analyzer struct {
 	topo     [][]model.ActID
 	topoErr  []error
 	topoDone []bool
+}
+
+// actState is the fixpoint state of one activity.
+type actState struct {
+	// r and j are the response-time and jitter iterates; has records
+	// whether an entry was ever written (mirroring presence in the
+	// Result maps the fixpoint used to read).
+	r, j units.Duration
+	// core is the part of an ET response that does not depend on the
+	// activity's own jitter: the worst FPS busy window, or the DYN
+	// wait of Eq. (3) plus C, or saturated. It was computed at tick
+	// coreAt (0: not yet in this Run) and stays valid until the jitter
+	// of an interferer changes; jAt is the tick of the last change of
+	// j.
+	core        units.Duration
+	jAt, coreAt int64
+	has         bool
+}
+
+// saturated is the core of a DYN message whose response saturates at
+// its divergence cap whatever its jitter.
+const saturated units.Duration = -1
+
+// Stats counts the work of an analyzer's Runs, cumulatively. They are
+// plain counters: an Analyzer is confined to one goroutine.
+type Stats struct {
+	// Passes counts outer passes of the jitter fixpoint.
+	Passes int64 `json:"passes"`
+	// CoresComputed counts ET response cores (an FPS busy-window
+	// maximisation or a DYN Eq. (3) solve) computed; CoresReused counts
+	// those answered from the memo because no interferer's jitter had
+	// moved since.
+	CoresComputed int64 `json:"cores_computed"`
+	CoresReused   int64 `json:"cores_reused"`
+	// Eq3Iterations counts iterations of the DYN Eq. (3) fixpoint.
+	Eq3Iterations int64 `json:"eq3_iterations"`
+}
+
+// Add folds another snapshot into s.
+func (s *Stats) Add(o Stats) {
+	s.Passes += o.Passes
+	s.CoresComputed += o.CoresComputed
+	s.CoresReused += o.CoresReused
+	s.Eq3Iterations += o.Eq3Iterations
+}
+
+// Sub returns s - o, the work done between two snapshots.
+func (s Stats) Sub(o Stats) Stats {
+	return Stats{
+		Passes:        s.Passes - o.Passes,
+		CoresComputed: s.CoresComputed - o.CoresComputed,
+		CoresReused:   s.CoresReused - o.CoresReused,
+		Eq3Iterations: s.Eq3Iterations - o.Eq3Iterations,
+	}
 }
 
 // New builds an analyzer bound to one configuration and table. The
@@ -219,9 +276,7 @@ func NewReusable(sys *model.System, opts Options) *Analyzer {
 		a.fpsOrder = append(a.fpsOrder, ids...)
 	}
 
-	a.r = make([]units.Duration, n)
-	a.j = make([]units.Duration, n)
-	a.has = make([]bool, n)
+	a.st = make([]actState, n)
 	for i := range app.Acts {
 		if !app.Acts[i].IsTT() {
 			a.numET++
@@ -361,19 +416,21 @@ func (a *Analyzer) cap(id model.ActID) units.Duration {
 	return a.capD[id]
 }
 
+// Stats returns the work counters accumulated over every Run.
+func (a *Analyzer) Stats() Stats { return a.stats }
+
 // Run performs the holistic analysis: response times of TT activities
 // come from the schedule table; ET activities are analysed iteratively
 // with jitter propagation along the precedence edges until a fixpoint
 // (Section 5: "the interference from the SCS activities" is part of
 // both the FPS and the DYN analysis). The iteration state lives in the
-// analyzer's dense r/j arrays; the Result maps are materialised once at
-// the end.
+// analyzer's dense per-activity array; the Result maps are materialised
+// once at the end.
 func (a *Analyzer) Run() *Result {
 	app := &a.sys.App
 	res := &Result{Converged: true}
-	clear(a.r)
-	clear(a.j)
-	clear(a.has)
+	clear(a.st)
+	a.tick = 1
 
 	// Static part: schedule-table derived responses.
 	for i := range app.Acts {
@@ -381,8 +438,8 @@ func (a *Analyzer) Run() *Result {
 		if !act.IsTT() {
 			continue
 		}
-		a.r[act.ID] = a.tableResponse(act)
-		a.has[act.ID] = true
+		a.st[act.ID].r = a.tableResponse(act)
+		a.st[act.ID].has = true
 	}
 
 	// Event-triggered part: fixpoint over jitters.
@@ -391,6 +448,7 @@ func (a *Analyzer) Run() *Result {
 		maxIter = 64
 	}
 	for iter := 0; ; iter++ {
+		a.stats.Passes++
 		changed := false
 		for g := range app.Graphs {
 			order, err := a.topoOrder(g)
@@ -408,16 +466,14 @@ func (a *Analyzer) Run() *Result {
 					continue
 				}
 				j := a.releaseJitter(act)
-				var r units.Duration
-				if act.IsTask() {
-					r = a.fpsResponse(act, j)
-				} else {
-					r = a.dynResponse(act, j)
-				}
-				if a.j[id] != j || a.r[id] != r {
-					a.j[id] = j
-					a.r[id] = r
-					a.has[id] = true
+				r := a.etResponse(act, j)
+				st := &a.st[id]
+				if st.j != j || st.r != r {
+					if st.j != j {
+						a.tick++
+						st.jAt = a.tick
+					}
+					st.j, st.r, st.has = j, r, true
 					changed = true
 				}
 			}
@@ -435,6 +491,63 @@ func (a *Analyzer) Run() *Result {
 	return res
 }
 
+// etResponse returns the response time of an ET activity under release
+// jitter j: its own jitter plus the jitter-independent core. The core
+// is a pure function of the bound configuration and table (fixed for
+// the Run) and of the jitters of the activity's interferers: the
+// higher-priority FPS tasks on its node, or the hp(m) and lf(m)
+// messages of a DYN message. It is therefore recomputed only when one
+// of those jitters changed after it was last computed, which makes the
+// memo exact.
+func (a *Analyzer) etResponse(act *model.Activity, j units.Duration) units.Duration {
+	st := &a.st[act.ID]
+	if st.coreAt == 0 || a.interferersMoved(act, st.coreAt) {
+		if act.IsTask() {
+			st.core = a.fpsCore(act)
+		} else {
+			st.core = a.dynCore(act)
+		}
+		st.coreAt = a.tick
+		a.stats.CoresComputed++
+	} else {
+		a.stats.CoresReused++
+	}
+	if st.core == saturated {
+		return a.capD[act.ID]
+	}
+	return units.SatAdd(j, st.core)
+}
+
+// interferersMoved reports whether the jitter of any interferer of act
+// changed after tick at.
+func (a *Analyzer) interferersMoved(act *model.Activity, at int64) bool {
+	if act.IsTask() {
+		for _, h := range a.fpsOrder[a.hpStart[act.ID]:a.hpEnd[act.ID]] {
+			if a.st[h].jAt > at {
+				return true
+			}
+		}
+		return false
+	}
+	// A DYN core that never reached Eq. (3) (no FrameID, no room in
+	// the segment) has no interferers; every other one built its env.
+	env := &a.ar.envs[a.dynIdx[act.ID]]
+	if !env.built {
+		return false
+	}
+	for _, m := range a.ar.hp[env.hpLo:env.hpHi] {
+		if a.st[m].jAt > at {
+			return true
+		}
+	}
+	for _, it := range a.ar.lf[env.lfLo:env.lfHi] {
+		if a.st[it.id].jAt > at {
+			return true
+		}
+	}
+	return false
+}
+
 // releaseJitter computes the release jitter of an ET activity: the
 // worst-case completion of its predecessors (their response time),
 // measured from the graph release, plus its own static release offset.
@@ -442,8 +555,8 @@ func (a *Analyzer) Run() *Result {
 func (a *Analyzer) releaseJitter(act *model.Activity) units.Duration {
 	j := act.Release
 	for _, p := range act.Preds {
-		if a.has[p] && a.r[p] > j {
-			j = a.r[p]
+		if st := &a.st[p]; st.has && st.r > j {
+			j = st.r
 		}
 	}
 	return j
@@ -489,12 +602,13 @@ func (a *Analyzer) emit(res *Result) {
 	res.J = make(map[model.ActID]units.Duration, a.numET)
 	for i := range app.Acts {
 		act := &app.Acts[i]
-		if !a.has[act.ID] {
+		st := &a.st[act.ID]
+		if !st.has {
 			continue
 		}
-		res.R[act.ID] = a.r[act.ID]
+		res.R[act.ID] = st.r
 		if !act.IsTT() {
-			res.J[act.ID] = a.j[act.ID]
+			res.J[act.ID] = st.j
 		}
 	}
 }
@@ -506,10 +620,10 @@ func (a *Analyzer) finish(res *Result) {
 	var f1, f2 float64
 	for i := range app.Acts {
 		act := &app.Acts[i]
-		if !a.has[act.ID] {
+		if !a.st[act.ID].has {
 			continue
 		}
-		r := a.r[act.ID]
+		r := a.st[act.ID].r
 		d := a.deadline[act.ID]
 		diff := float64(r-d) / float64(units.Microsecond)
 		if r > d {

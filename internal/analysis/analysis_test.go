@@ -173,6 +173,31 @@ func TestDynResponseBoundsFig4(t *testing.T) {
 	}
 }
 
+// TestEq3ExhaustionSaturates: an Eq. (3) fixpoint that runs out of
+// iterations has not converged, and its last iterate underestimates the
+// wait, so it must report saturation instead of a response.
+func TestEq3ExhaustionSaturates(t *testing.T) {
+	sys, cfg := fig4System(t)
+	a := newAnalyzer(t, sys, cfg)
+	// m2 (FrameID 2) is delayed by m1's instances: the first iterate
+	// counts none of them, the converged wait counts one.
+	m2 := sys.App.Act(actID(t, sys, "m2"))
+	env := envOf(a, m2, 2)
+	env.need = fillNeedOf(a, m2)
+	bound := a.capD[m2.ID]
+	full := a.dynWait(env, 2, bound, eq3MaxIter)
+	if !full.converged || full.iters < 2 {
+		t.Fatalf("Eq. (3) for m2: converged=%v after %d iterations, want convergence after >= 2", full.converged, full.iters)
+	}
+	cut := a.dynWait(env, 2, bound, 1)
+	if cut.converged || cut.iters != 1 {
+		t.Fatalf("Eq. (3) cut to 1 iteration: converged=%v after %d", cut.converged, cut.iters)
+	}
+	if cut.w >= full.w {
+		t.Errorf("unconverged iterate %v does not underestimate the converged wait %v", cut.w, full.w)
+	}
+}
+
 func TestDynResponseMissingFrameIDSaturates(t *testing.T) {
 	sys, cfg := fig4System(t)
 	delete(cfg.FrameID, actID(t, sys, "m2"))
@@ -224,7 +249,7 @@ func TestInstancesJitterTerm(t *testing.T) {
 		t.Errorf("instances(2T-eps) = %d, want 2", got)
 	}
 	// Jitter adds activations.
-	a.j[m1] = 200 * us
+	a.st[m1].j = 200 * us
 	if got := a.instances(m1, 200*us); got != 2 {
 		t.Errorf("instances(T, J=T) = %d, want 2", got)
 	}

@@ -8,33 +8,35 @@ import (
 	"repro/internal/units"
 )
 
-// dynResponse computes the worst-case response time of a DYN message
-// per Section 5.1:
+// dynCore computes the jitter-independent core of a DYN message's
+// worst-case response time per Section 5.1:
 //
 //	Rm = Jm + wm + Cm                                   (Eq. 2)
 //	wm = σm + BusCyclesm(t)·gdCycle + w'm(t)            (Eq. 3)
 //
-// σm is the longest in-cycle delay when the message becomes ready just
-// after its slot has passed; BusCyclesm counts the "filled" bus cycles
-// in which transmission is impossible (higher-priority local messages
-// occupying the slot, or lower-FrameID interference pushing the
-// minislot counter past the latest transmission start); w'm is the
-// delay inside the final cycle until transmission starts.
-func (a *Analyzer) dynResponse(act *model.Activity, jitter units.Duration) units.Duration {
+// The core is wm + Cm; etResponse adds Jm. σm is the longest in-cycle
+// delay when the message becomes ready just after its slot has passed;
+// BusCyclesm counts the "filled" bus cycles in which transmission is
+// impossible (higher-priority local messages occupying the slot, or
+// lower-FrameID interference pushing the minislot counter past the
+// latest transmission start); w'm is the delay inside the final cycle
+// until transmission starts. A message that can never be transmitted,
+// or whose wait does not converge below its divergence cap, returns
+// saturated: its response is the cap.
+func (a *Analyzer) dynCore(act *model.Activity) units.Duration {
 	di := a.dynIdx[act.ID]
 	fid := a.fids[di]
 	if fid < 0 || a.cfg.NumMinislots <= 0 {
 		// No FrameID or no dynamic segment: the message can never
 		// be transmitted under this configuration.
-		return a.capD[act.ID]
+		return saturated
 	}
 	need := a.fillNeed(act, fid, int(di))
 	if need <= 0 {
 		// Even an empty dynamic segment blocks the frame (it can
 		// never fit): permanently filled.
-		return a.capD[act.ID]
+		return saturated
 	}
-
 	env := &a.ar.envs[di]
 	if !env.built {
 		a.buildEnv(int(di), act, fid)
@@ -43,33 +45,59 @@ func (a *Analyzer) dynResponse(act *model.Activity, jitter units.Duration) units
 	// which change between Reset-bound configurations while the cached
 	// environment stays valid; refresh it on every query.
 	env.need = need
-	bound := a.capD[act.ID]
+	w := a.dynWait(env, fid, a.capD[act.ID], eq3MaxIter)
+	a.stats.Eq3Iterations += int64(w.iters)
+	if !w.converged {
+		return saturated
+	}
+	return units.SatAdd(w.w, act.C)
+}
+
+// eq3MaxIter bounds the iterations of one Eq. (3) fixpoint.
+const eq3MaxIter = 10000
+
+// eq3Wait is the outcome of one Eq. (3) fixpoint: the wait w with σ,
+// the filled bus cycles and w' of its last iterate, and the number of
+// iterations. converged is false when an iterate exceeded the bound or
+// the iterations ran out; w is then not a bound.
+type eq3Wait struct {
+	w, sigma, wPrime units.Duration
+	filled           int64
+	iters            int
+	converged        bool
+}
+
+// dynWait solves the Eq. (3) fixpoint of a DYN message with FrameID fid
+// whose environment is built and whose need is current. t is the window
+// over which interfering instances are counted; the iteration stops
+// when w no longer grows past t. An iterate beyond bound saturates, and
+// so does running out of maxIter iterations: an iterate that has not
+// converged underestimates the wait.
+func (a *Analyzer) dynWait(env *flatEnv, fid int, bound units.Duration, maxIter int) eq3Wait {
 	cycle := a.cfg.Cycle()
 	msLen := a.cfg.MinislotLen
 	stBus := a.cfg.STBus()
-
 	// σm: the message misses its earliest possible slot start in the
 	// arrival cycle and waits for the cycle to end. The earliest slot
 	// start is STbus + (fid-1) empty minislots into the cycle.
-	sigma := cycle - stBus - units.Duration(fid-1)*msLen
-
-	// Fixpoint of Eq. (3): t is the window over which interfering
-	// instances are counted.
+	r := eq3Wait{sigma: cycle - stBus - units.Duration(fid-1)*msLen}
 	t := units.Duration(0)
-	var w units.Duration
-	for iter := 0; iter < 10000; iter++ {
-		filled, leftover := a.fillCycles(env, t)
-		wPrime := stBus + units.Duration(fid-1+leftover)*msLen
-		w = units.SatAdd(sigma, units.SatAdd(units.Duration(filled)*cycle, wPrime))
-		if w > bound {
-			return bound
+	for r.iters < maxIter {
+		r.iters++
+		var leftover int
+		r.filled, leftover = a.fillCycles(env, t)
+		r.wPrime = stBus + units.Duration(fid-1+leftover)*msLen
+		r.w = units.SatAdd(r.sigma, units.SatAdd(units.Duration(r.filled)*cycle, r.wPrime))
+		if r.w > bound {
+			return r
 		}
-		if w <= t {
-			break
+		if r.w <= t {
+			r.converged = true
+			return r
 		}
-		t = w
+		t = r.w
 	}
-	return units.SatAdd(jitter, units.SatAdd(w, act.C))
+	return r
 }
 
 // fillNeed returns the number of *extra* minislots (beyond the one
@@ -263,7 +291,7 @@ func (a *Analyzer) buildEnv(di int, act *model.Activity, fid int) *flatEnv {
 // window of length t, given its inherited jitter (the standard
 // ceil((t+J)/T) term).
 func (a *Analyzer) instances(m model.ActID, t units.Duration) int64 {
-	n := units.CeilDiv(int64(t)+int64(a.j[m]), int64(a.period[m]))
+	n := units.CeilDiv(int64(t)+int64(a.st[m].j), int64(a.period[m]))
 	if n < 0 {
 		return 0
 	}

@@ -83,35 +83,19 @@ func (a *Analyzer) ExplainDYN(m model.ActID, res *Result) (DYNDelay, bool) {
 		a.buildEnv(int(di), act, fid)
 	}
 	env.need = need
-	cycle := a.cfg.Cycle()
-	msLen := a.cfg.MinislotLen
-	sigma := cycle - a.cfg.STBus() - units.Duration(fid-1)*msLen
 	bound := a.cap(m)
-
+	w := a.dynWait(env, fid, bound, eq3MaxIter)
 	d := DYNDelay{
 		Msg: m, Jitter: res.J[m],
-		Sigma: sigma, CycleLen: cycle, Comm: act.C,
+		Sigma: w.sigma, BusCycles: w.filled, CycleLen: a.cfg.Cycle(),
+		WPrime: w.wPrime, Comm: act.C,
 	}
-	t := units.Duration(0)
-	for iter := 0; iter < 10000; iter++ {
-		filled, leftover := a.fillCycles(env, t)
-		wPrime := a.cfg.STBus() + units.Duration(fid-1+leftover)*msLen
-		w := units.SatAdd(sigma, units.SatAdd(units.Duration(filled)*cycle, wPrime))
-		d.BusCycles = filled
-		d.WPrime = wPrime
-		if w > bound {
-			d.Saturated = true
-			d.Response = units.SatAdd(d.Jitter, units.SatAdd(bound, act.C))
-			return d, true
-		}
-		if w <= t {
-			d.Response = units.SatAdd(d.Jitter, units.SatAdd(w, act.C))
-			return d, true
-		}
-		t = w
+	if !w.converged {
+		d.Saturated = true
+		d.Response = units.SatAdd(d.Jitter, units.SatAdd(bound, act.C))
+		return d, true
 	}
-	d.Saturated = true
-	d.Response = units.SatAdd(d.Jitter, units.SatAdd(bound, act.C))
+	d.Response = units.SatAdd(d.Jitter, units.SatAdd(w.w, act.C))
 	return d, true
 }
 
@@ -119,10 +103,12 @@ func (a *Analyzer) ExplainDYN(m model.ActID, res *Result) (DYNDelay, bool) {
 // the explanation machinery counts interference instances with the same
 // jitters the analysis converged to.
 func (a *Analyzer) loadJitters(res *Result) {
-	clear(a.j)
+	for i := range a.st {
+		a.st[i].j = 0
+	}
 	for id, j := range res.J {
-		if int(id) < len(a.j) {
-			a.j[id] = j
+		if int(id) < len(a.st) {
+			a.st[id].j = j
 		}
 	}
 }

@@ -5,14 +5,15 @@ import (
 	"repro/internal/units"
 )
 
-// fpsResponse computes the worst-case response time of an FPS task
-// measured from its graph release: release jitter + the longest busy
-// window. FPS tasks execute only in the slack left by the static
+// fpsCore computes the jitter-independent core of an FPS task's
+// worst-case response time, the longest busy window; the response,
+// measured from the graph release, is the release jitter plus the core
+// (etResponse). FPS tasks execute only in the slack left by the static
 // schedule (Section 2), so the busy window advances through the
 // availability function of the node rather than through wall-clock
 // time; interference comes from higher-priority FPS tasks on the same
 // node, each with its own inherited jitter (ref [13]).
-func (a *Analyzer) fpsResponse(act *model.Activity, jitter units.Duration) units.Duration {
+func (a *Analyzer) fpsCore(act *model.Activity) units.Duration {
 	av := a.availability(act.Node)
 	hp := a.fpsOrder[a.hpStart[act.ID]:a.hpEnd[act.ID]]
 	bound := a.capD[act.ID]
@@ -30,7 +31,7 @@ func (a *Analyzer) fpsResponse(act *model.Activity, jitter units.Duration) units
 			break
 		}
 	}
-	return units.SatAdd(jitter, worst)
+	return worst
 }
 
 // busyWindow iterates the classic response-time recurrence
@@ -50,7 +51,7 @@ func (a *Analyzer) busyWindow(act *model.Activity, hp []model.ActID, phi units.T
 	for iter := 0; iter < 1000; iter++ {
 		demand := act.C
 		for _, h := range hp {
-			n := units.CeilDiv(int64(w)+int64(a.j[h]), int64(a.period[h]))
+			n := units.CeilDiv(int64(w)+int64(a.st[h].j), int64(a.period[h]))
 			demand = units.SatAdd(demand, units.Duration(n)*app.Acts[h].C)
 		}
 		end := av.Advance(phi, demand)

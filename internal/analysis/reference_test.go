@@ -285,20 +285,20 @@ func (a *refAnalyzer) dynResponse(act *model.Activity, jitter units.Duration, re
 	sigma := cycle - a.cfg.STBus() - units.Duration(fid-1)*msLen
 
 	t := units.Duration(0)
-	var w units.Duration
 	for iter := 0; iter < 10000; iter++ {
 		filled, leftover := a.fillCycles(env, t, res)
 		wPrime := a.cfg.STBus() + units.Duration(fid-1+leftover)*msLen
-		w = units.SatAdd(sigma, units.SatAdd(units.Duration(filled)*cycle, wPrime))
+		w := units.SatAdd(sigma, units.SatAdd(units.Duration(filled)*cycle, wPrime))
 		if w > bound {
 			return bound
 		}
 		if w <= t {
-			break
+			return units.SatAdd(jitter, units.SatAdd(w, act.C))
 		}
 		t = w
 	}
-	return units.SatAdd(jitter, units.SatAdd(w, act.C))
+	// Out of iterations: the last iterate is no bound, so saturate.
+	return bound
 }
 
 func (a *refAnalyzer) fillNeed(act *model.Activity) int {

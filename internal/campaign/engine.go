@@ -76,6 +76,10 @@ type EngineStats struct {
 	// TableBuilds counts the schedule tables the evaluations
 	// constructed; the rest came from the sessions' table memos.
 	TableBuilds int64 `json:"table_builds"`
+	// Analysis sums the analysis-layer counters of the evaluating
+	// sessions: fixpoint passes, response cores computed and reused,
+	// and Eq. (3) iterations. It is left out of the JSON when zero.
+	Analysis analysis.Stats `json:"analysis,omitzero"`
 }
 
 // Add folds another snapshot into s.
@@ -84,13 +88,15 @@ func (s *EngineStats) Add(o EngineStats) {
 	s.CacheHits += o.CacheHits
 	s.CacheMisses += o.CacheMisses
 	s.TableBuilds += o.TableBuilds
+	s.Analysis.Add(o.Analysis)
 }
 
 // EngineCounters accumulate EngineStats from any number of goroutines;
 // the serving layer and the job manager track their process totals
 // with one. The zero value is ready to use.
 type EngineCounters struct {
-	evals, hits, misses, builds atomic.Int64
+	evals, hits, misses, builds   atomic.Int64
+	passes, computed, reused, eq3 atomic.Int64
 }
 
 // Add folds one snapshot into the counters.
@@ -99,6 +105,10 @@ func (c *EngineCounters) Add(st EngineStats) {
 	c.hits.Add(st.CacheHits)
 	c.misses.Add(st.CacheMisses)
 	c.builds.Add(st.TableBuilds)
+	c.passes.Add(st.Analysis.Passes)
+	c.computed.Add(st.Analysis.CoresComputed)
+	c.reused.Add(st.Analysis.CoresReused)
+	c.eq3.Add(st.Analysis.Eq3Iterations)
 }
 
 // Total snapshots the accumulated counters.
@@ -108,6 +118,12 @@ func (c *EngineCounters) Total() EngineStats {
 		CacheHits:   c.hits.Load(),
 		CacheMisses: c.misses.Load(),
 		TableBuilds: c.builds.Load(),
+		Analysis: analysis.Stats{
+			Passes:        c.passes.Load(),
+			CoresComputed: c.computed.Load(),
+			CoresReused:   c.reused.Load(),
+			Eq3Iterations: c.eq3.Load(),
+		},
 	}
 }
 
@@ -178,10 +194,7 @@ type Engine struct {
 	shards    []cacheShard
 	shardMask uint64
 
-	evals  atomic.Int64
-	hits   atomic.Int64
-	misses atomic.Int64
-	builds atomic.Int64
+	stats EngineCounters
 }
 
 var _ core.EvalHook = (*Engine)(nil)
@@ -253,12 +266,7 @@ func stampSystem(tr obs.TraceFunc, system string) obs.TraceFunc {
 
 // Stats snapshots the engine counters.
 func (e *Engine) Stats() EngineStats {
-	return EngineStats{
-		Evaluations: e.evals.Load(),
-		CacheHits:   e.hits.Load(),
-		CacheMisses: e.misses.Load(),
-		TableBuilds: e.builds.Load(),
-	}
+	return e.stats.Total()
 }
 
 // CacheShards reports how many lock domains the evaluation cache is
@@ -286,7 +294,7 @@ func (e *Engine) Eval(sys *model.System, cfg *flexray.Config, opts sched.Options
 		ent := el.Value.(*cacheEntry)
 		sh.lru.MoveToFront(el)
 		sh.mu.Unlock()
-		e.hits.Add(1)
+		e.stats.hits.Add(1)
 		<-ent.done
 		return ent.res, ent.cost
 	}
@@ -298,7 +306,7 @@ func (e *Engine) Eval(sys *model.System, cfg *flexray.Config, opts sched.Options
 		delete(sh.entries, oldest.Value.(*cacheEntry).key)
 	}
 	sh.mu.Unlock()
-	e.misses.Add(1)
+	e.stats.misses.Add(1)
 	// A cancelled evaluation caches an infeasible marker; that is
 	// sound because the engine's lifetime is bound to its context —
 	// every result produced after cancellation is discarded anyway.
@@ -348,12 +356,13 @@ func (e *Engine) run(sys *model.System, cfg *flexray.Config, opts sched.Options)
 	if e.ctx.Err() != nil {
 		return nil, infeasibleCost
 	}
-	e.evals.Add(1)
 	sess := wk.session(sys, opts)
-	before := sess.TableBuilds()
+	builds, an := sess.TableBuilds(), sess.AnalysisStats()
 	res, cost := sess.Eval(cfg)
-	if n := sess.TableBuilds() - before; n > 0 {
-		e.builds.Add(n)
-	}
+	e.stats.Add(EngineStats{
+		Evaluations: 1,
+		TableBuilds: sess.TableBuilds() - builds,
+		Analysis:    sess.AnalysisStats().Sub(an),
+	})
 	return res, cost
 }

@@ -293,9 +293,16 @@ func TestEngineShardedCache(t *testing.T) {
 // the same before the heap-ordered BuildTable as after.
 const cruiseCampaignTableBuilds = 2071
 
-// TestCampaignCountsTableBuilds pins the table-build counter through
-// the campaign path (one session, algorithms in turn, so the count is
-// deterministic) and its relation to the evaluation counter.
+// cruiseCampaignPasses is the number of outer jitter-fixpoint passes
+// the same campaign's analyses take, about 2.96 per evaluation. Passes
+// follow the fixpoint's semantics, not the memo: results and pass
+// counts are the same whether a core is reused or recomputed.
+const cruiseCampaignPasses = 6949
+
+// TestCampaignCountsTableBuilds pins the table-build and fixpoint-pass
+// counters through the campaign path (one session, algorithms in turn,
+// so the counts are deterministic) and their relation to the
+// evaluation counter.
 func TestCampaignCountsTableBuilds(t *testing.T) {
 	sys, err := cruise.System()
 	if err != nil {
@@ -319,5 +326,27 @@ func TestCampaignCountsTableBuilds(t *testing.T) {
 	total.Add(st)
 	if got := total.Total().TableBuilds; got != 2*st.TableBuilds {
 		t.Errorf("EngineCounters sum %d table builds, want %d", got, 2*st.TableBuilds)
+	}
+
+	// Every pass visits every event-triggered activity once, computing
+	// its response core or reusing it.
+	an := st.Analysis
+	if an.Passes != cruiseCampaignPasses {
+		t.Errorf("cruise campaign took %d fixpoint passes, pinned %d (%+v)", an.Passes, cruiseCampaignPasses, an)
+	}
+	numET := 0
+	for i := range sys.App.Acts {
+		if !sys.App.Acts[i].IsTT() {
+			numET++
+		}
+	}
+	if got := an.CoresComputed + an.CoresReused; got != int64(numET)*an.Passes {
+		t.Errorf("cores computed+reused = %d, want %d ET activities × %d passes", got, numET, an.Passes)
+	}
+	if an.CoresReused == 0 || an.Eq3Iterations == 0 {
+		t.Errorf("analysis counters show no memo reuse or no Eq. (3) work: %+v", an)
+	}
+	if got := total.Total().Analysis; got.Passes != 2*an.Passes || got.CoresReused != 2*an.CoresReused {
+		t.Errorf("EngineCounters sum %+v, want twice %+v", got, an)
 	}
 }

@@ -71,6 +71,10 @@ func endSystemSpan(sp *obs.Span, st EngineStats) {
 	sp.SetInt("cache_hits", st.CacheHits)
 	sp.SetInt("cache_misses", st.CacheMisses)
 	sp.SetInt("table_builds", st.TableBuilds)
+	sp.SetInt("analysis_passes", st.Analysis.Passes)
+	sp.SetInt("analysis_cores_computed", st.Analysis.CoresComputed)
+	sp.SetInt("analysis_cores_reused", st.Analysis.CoresReused)
+	sp.SetInt("analysis_eq3_iterations", st.Analysis.Eq3Iterations)
 	sp.End()
 }
 

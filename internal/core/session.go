@@ -48,6 +48,9 @@ type Session struct {
 	sys  *model.System
 	opts sched.Options
 	an   *analysis.Analyzer
+	// plan holds the system-only layout of table construction, so a
+	// memo miss pays for the list scheduler and nothing else.
+	plan *sched.Plan
 
 	tables map[tableKey]tableEntry
 	// builds counts the schedule tables this session constructed:
@@ -95,6 +98,7 @@ func NewSession(sys *model.System, opts sched.Options) *Session {
 		sys:    sys,
 		opts:   opts,
 		an:     analysis.NewReusable(sys, opts.Analysis),
+		plan:   sched.NewPlan(sys),
 		tables: map[tableKey]tableEntry{},
 	}
 }
@@ -145,6 +149,10 @@ func (s *Session) EvalBatch(cfgs []*flexray.Config) ([]*analysis.Result, []float
 // TableBuilds reports how many schedule tables the session has
 // constructed; evaluations the table memo answered do not count.
 func (s *Session) TableBuilds() int64 { return s.builds }
+
+// AnalysisStats reports the work counters of the session's analyzer,
+// accumulated over every evaluation.
+func (s *Session) AnalysisStats() analysis.Stats { return s.an.Stats() }
 
 // batchScratch pools the buffers of batchOrder across EvalBatch calls.
 type batchScratch struct {
@@ -213,7 +221,7 @@ func (s *Session) table(cfg *flexray.Config) (*schedule.Table, error) {
 		// FrameID assignment while inserting tasks: the table depends
 		// on the full configuration and cannot be shared.
 		s.builds++
-		return sched.BuildTable(s.sys, cfg, s.opts)
+		return s.plan.Build(cfg, s.opts)
 	}
 	if s.last.valid &&
 		s.last.slotLen == cfg.StaticSlotLen &&
@@ -231,7 +239,7 @@ func (s *Session) table(cfg *flexray.Config) (*schedule.Table, error) {
 	e, ok := s.tables[key]
 	if !ok {
 		s.builds++
-		table, err := sched.BuildTable(s.sys, cfg, s.opts)
+		table, err := s.plan.Build(cfg, s.opts)
 		if len(s.tables) >= sessionTableCap {
 			clear(s.tables)
 		}

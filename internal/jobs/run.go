@@ -173,14 +173,15 @@ func (m *Manager) runSweep(ctx context.Context, j *job, c *compiled) (*Result, e
 				session = core.NewSession(c.sys, c.opts.Sched)
 			}
 			for i := range idxc {
-				var before int64
+				var before campaign.EngineStats
 				if session != nil {
-					before = session.TableBuilds()
+					before = campaign.EngineStats{TableBuilds: session.TableBuilds(), Analysis: session.AnalysisStats()}
 				}
 				pt := sweepPoint(c.sys, c.cfgs[i], c.opts, session, i, j.spec.Repetitions)
 				st := campaign.EngineStats{Evaluations: 1, TableBuilds: 1} // the simulate path builds its own table
 				if session != nil {
-					st.TableBuilds = session.TableBuilds() - before
+					st.TableBuilds = session.TableBuilds() - before.TableBuilds
+					st.Analysis = session.AnalysisStats().Sub(before.Analysis)
 				}
 				points[i] = pt
 				m.engine.Add(st)

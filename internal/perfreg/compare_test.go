@@ -1,8 +1,12 @@
 package perfreg
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/analysis"
+	"repro/internal/sched"
 )
 
 // fixtureReport builds a baseline with one scenario carrying typical
@@ -260,7 +264,7 @@ func TestSuiteShape(t *testing.T) {
 		}
 	}
 	for _, want := range []string{
-		"eval/fresh", "eval/session", "sched/build-table", "campaign/serial", "campaign/parallel",
+		"eval/fresh", "eval/session", "sched/build-table", "analysis/run", "campaign/serial", "campaign/parallel",
 		"jobs/pipeline", "jobs/distributed-drain", "fig7/sweep", "fig9/quick",
 		"store/replay", "store/compact",
 	} {
@@ -281,6 +285,25 @@ func TestSessionConfigsPinned(t *testing.T) {
 	}
 	if len(cfgs) != SessionConfigCount {
 		t.Fatalf("mix length %d, want %d", len(cfgs), SessionConfigCount)
+	}
+}
+
+// TestAnalysisRunInputsPinned: the analysis/run stream has the pinned
+// length, and replaying it through one reusable analyzer reproduces
+// the results of a fresh analysis per candidate.
+func TestAnalysisRunInputsPinned(t *testing.T) {
+	sys, cfgs, tables, err := AnalysisRunInputs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := sched.DefaultOptions().Analysis
+	an := analysis.NewReusable(sys, opts)
+	for i, cfg := range cfgs {
+		an.Reset(cfg, tables[i])
+		got := an.Run()
+		if want := analysis.New(sys, cfg, tables[i], opts).Run(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("candidate %d: reused analyzer %+v, fresh %+v", i, got, want)
+		}
 	}
 }
 

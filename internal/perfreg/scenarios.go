@@ -13,8 +13,10 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/campaign"
 	"repro/internal/core"
+	"repro/internal/cruise"
 	"repro/internal/experiments"
 	"repro/internal/flexray"
 	"repro/internal/jobs"
@@ -22,6 +24,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/sched"
+	"repro/internal/schedule"
 	"repro/internal/synth"
 )
 
@@ -132,6 +135,60 @@ func BuildTableInputs() ([]*model.System, []*flexray.Config, error) {
 	return systems, cfgs, nil
 }
 
+// AnalysisRunCandidates is the length of the analysis/run candidate
+// stream: the configurations OBC-CF evaluates on the cruise controller
+// at default options.
+const AnalysisRunCandidates = 196
+
+// AnalysisRunInputs returns the analysis/run workload: the cruise
+// controller, the candidate stream OBC-CF evaluates on it, and each
+// candidate's schedule table, built once. Replaying it measures the
+// holistic analysis alone, on the event-triggered mix the optimisers
+// actually produce.
+func AnalysisRunInputs() (*model.System, []*flexray.Config, []*schedule.Table, error) {
+	sys, err := cruise.System()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	opts := core.DefaultOptions()
+	rec := &candidateRecorder{sess: core.NewSession(sys, opts.Sched)}
+	opts.Eval = rec
+	if _, err := core.OBCCF(sys, opts); err != nil {
+		return nil, nil, nil, err
+	}
+	if len(rec.cands) != AnalysisRunCandidates {
+		return nil, nil, nil, fmt.Errorf("perfreg: cruise OBC-CF evaluated %d candidates, want %d", len(rec.cands), AnalysisRunCandidates)
+	}
+	tables := make([]*schedule.Table, len(rec.cands))
+	for i, cfg := range rec.cands {
+		if tables[i], err = sched.BuildTable(sys, cfg, opts.Sched); err != nil {
+			return nil, nil, nil, fmt.Errorf("perfreg: cruise candidate %d: %w", i, err)
+		}
+	}
+	return sys, rec.cands, tables, nil
+}
+
+// candidateRecorder is an evaluation hook that evaluates through one
+// session and keeps a copy of every candidate, in order.
+type candidateRecorder struct {
+	sess  *core.Session
+	cands []*flexray.Config
+}
+
+func (r *candidateRecorder) Eval(_ *model.System, cfg *flexray.Config, _ sched.Options) (*analysis.Result, float64) {
+	r.cands = append(r.cands, cfg.Clone())
+	return r.sess.Eval(cfg)
+}
+
+func (r *candidateRecorder) EvalBatch(sys *model.System, cfgs []*flexray.Config, opts sched.Options) ([]*analysis.Result, []float64) {
+	ress := make([]*analysis.Result, len(cfgs))
+	costs := make([]float64, len(cfgs))
+	for i, cfg := range cfgs {
+		ress[i], costs[i] = r.Eval(sys, cfg, opts)
+	}
+	return ress, costs
+}
+
 // CampaignTuning bounds the optimiser budgets so one campaign pass
 // over a Fig. 7 system stays well under a second and the scenarios
 // (and scaling benchmarks) iterate.
@@ -187,6 +244,16 @@ func Suite() []*Scenario {
 			AllocWarmup: 1,
 			AllocOps:    2,
 			Setup:       buildTableSetup,
+		},
+		{
+			Name:        "analysis/run",
+			Description: "holistic analysis alone (Eq. 2-5 fixpoint) through one reusable analyzer, replaying the cruise OBC-CF candidates on prebuilt tables",
+			Unit:        "run",
+			Serial:      true,
+			OpsPerCall:  AnalysisRunCandidates,
+			AllocWarmup: 1,
+			AllocOps:    2,
+			Setup:       analysisRunSetup,
 		},
 		{
 			Name:        "campaign/serial",
@@ -355,6 +422,23 @@ func buildTableSetup() (func() error, func(), error) {
 			if _, err := sched.BuildTable(sys, cfgs[i], opts); err != nil {
 				return fmt.Errorf("%s: %w", sys.Name, err)
 			}
+		}
+		return nil
+	}, nil, nil
+}
+
+// analysisRunSetup replays the cruise candidate stream through one
+// reusable analyzer: Reset onto each prebuilt table, then Run.
+func analysisRunSetup() (func() error, func(), error) {
+	sys, cfgs, tables, err := AnalysisRunInputs()
+	if err != nil {
+		return nil, nil, err
+	}
+	an := analysis.NewReusable(sys, sched.DefaultOptions().Analysis)
+	return func() error {
+		for i, cfg := range cfgs {
+			an.Reset(cfg, tables[i])
+			an.Run()
 		}
 		return nil
 	}, nil, nil

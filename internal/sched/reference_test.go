@@ -603,3 +603,74 @@ func TestBuildTableMatchesReference(t *testing.T) {
 		})
 	}
 }
+
+// TestPlanReuseMatchesFresh builds shuffled configurations, first-fit
+// and holistic placement interleaved, through one long-lived Plan per
+// system. Every table (or error) must equal both a fresh BuildTable and
+// the retained reference scheduler, so nothing a build leaves in the
+// plan's node, heap or trial-analyzer state leaks into the next one,
+// including builds that fail half way.
+func TestPlanReuseMatchesFresh(t *testing.T) {
+	fig7 := synth.DefaultParams(5, 43)
+	fig7.TasksPerNode = 9
+	fig7.TTShare = 0.34
+	fig7.BusUtilMin, fig7.BusUtilMax = 0.30, 0.45
+	fig7.DeadlineFactor = 2.0
+	for si, mk := range []func() (*model.System, error){
+		cruise.System,
+		func() (*model.System, error) { return synth.Generate(fig7) },
+	} {
+		sys, err := mk()
+		if err != nil {
+			t.Fatal(err)
+		}
+		copts := core.DefaultOptions()
+		copts.DYNGridCap = 8
+		bbc, err := core.BBC(sys, copts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(si) + 31))
+		type build struct {
+			cfg *flexray.Config
+			k   int
+		}
+		var builds []build
+		for i := 0; i < 30; i++ {
+			cfg := bbc.Config
+			if i > 0 {
+				cfg = perturbGeometry(rng, bbc.Config, sys.Platform.NumNodes)
+			}
+			builds = append(builds, build{cfg, 1}, build{cfg, 3})
+		}
+		rng.Shuffle(len(builds), func(i, j int) { builds[i], builds[j] = builds[j], builds[i] })
+
+		plan := sched.NewPlan(sys)
+		built, failed := 0, 0
+		for i, b := range builds {
+			where := fmt.Sprintf("%s build %d (k=%d)", sys.Name, i, b.k)
+			opts := sched.DefaultOptions()
+			opts.PlacementCandidates = b.k
+			got, gerr := plan.Build(b.cfg, opts)
+			fresh, ferr := sched.BuildTable(sys, b.cfg, opts)
+			want, werr := refBuildTable(sys, b.cfg, opts)
+			if (gerr == nil) != (werr == nil) || (gerr == nil) != (ferr == nil) ||
+				(gerr != nil && (gerr.Error() != werr.Error() || gerr.Error() != ferr.Error())) {
+				t.Fatalf("%s: plan error %v, fresh %v, ref %v", where, gerr, ferr, werr)
+			}
+			if gerr != nil {
+				failed++
+				continue
+			}
+			built++
+			if !reflect.DeepEqual(got.Tasks, fresh.Tasks) || !reflect.DeepEqual(got.Msgs, fresh.Msgs) {
+				t.Fatalf("%s: plan table differs from a fresh build", where)
+			}
+			compareTables(t, where, sys, got, want)
+		}
+		if built < 20 || failed == 0 {
+			t.Fatalf("%s: %d builds succeeded, %d failed; want both paths exercised", sys.Name, built, failed)
+		}
+		t.Logf("%s: %d tables identical, %d identical errors", sys.Name, built, failed)
+	}
+}

@@ -58,7 +58,8 @@ func Build(sys *model.System, cfg *flexray.Config, opts Options) (*schedule.Tabl
 // algorithm without the final holistic analysis. Callers that hold a
 // reusable analysis session (core.Session, the campaign engine workers)
 // use it to bind their own analyzer to the finished table; Build is
-// BuildTable plus one fresh analysis.
+// BuildTable plus one fresh analysis. It is NewPlan(sys).Build(cfg,
+// opts); callers that build many tables for one system keep the Plan.
 //
 // With PlacementCandidates <= 1 (plain first-fit) the resulting table
 // depends only on the slot geometry — static slot length, count,
@@ -66,20 +67,64 @@ func Build(sys *model.System, cfg *flexray.Config, opts Options) (*schedule.Tabl
 // assignment, which is what makes schedule-table reuse across FrameID
 // moves sound.
 func BuildTable(sys *model.System, cfg *flexray.Config, opts Options) (*schedule.Table, error) {
+	var p Plan
+	p.init(sys)
+	return p.Build(cfg, opts)
+}
+
+// Plan is the part of table construction that depends on the system
+// alone: the flat instance layout, the remaining critical paths (one
+// topological sort per graph, for the plan's lifetime) and the TT
+// predecessor counts. It owns the node and ready-heap buffers every
+// Build refills, so building many tables for one system allocates
+// little beyond the tables themselves. A Plan is not safe for
+// concurrent use; core.Session keeps one per session.
+type Plan struct {
+	sys     *model.System
+	horizon units.Duration
+	// err is a system-level failure (a cyclic graph, an instance
+	// count beyond int32); every Build reports it.
+	err error
+
+	// slots lays every instance of every TT activity out in one flat
+	// slice: instance i of activity a lives at slots[a].off +
+	// i*slots[a].stride, so successor lookup is arithmetic, not a map
+	// probe.
+	slots  []actSlot
+	remain []units.Duration
+
+	// nodes and heap are the per-build scratch: nodes spans every
+	// instance, heap keeps the capacity the ready list grew to.
+	nodes []node
+	heap  []int32
+
+	// trial is the analyzer of holistic placement, built on first use
+	// for the analysis options trialOpts.
+	trial     *analysis.Analyzer
+	trialOpts analysis.Options
+}
+
+// NewPlan lays out table construction for sys.
+func NewPlan(sys *model.System) *Plan {
+	p := new(Plan)
+	p.init(sys)
+	return p
+}
+
+// init fills an empty plan; BuildTable keeps its one-shot plan off the
+// heap this way.
+func (p *Plan) init(sys *model.System) {
 	app := &sys.App
 	horizon := app.HyperPeriod()
-	table := schedule.New(cfg, horizon)
-
-	// Lay every instance of every TT activity out in one flat slice:
-	// instance i of activity a lives at slots[a].off + i*slots[a].stride,
-	// so successor lookup is arithmetic, not a map probe.
-	slots := make([]actSlot, len(app.Acts))
-	remain := make([]units.Duration, len(app.Acts))
+	p.sys, p.horizon = sys, horizon
+	p.slots = make([]actSlot, len(app.Acts))
+	p.remain = make([]units.Duration, len(app.Acts))
 	total := 0
 	for g := range app.Graphs {
 		tg := &app.Graphs[g]
-		if err := app.RemainingPath(g, remain); err != nil {
-			return nil, err
+		if err := app.RemainingPath(g, p.remain); err != nil {
+			p.err = err
+			return
 		}
 		n := int64(horizon / tg.Period)
 		if n == 0 {
@@ -92,47 +137,62 @@ func BuildTable(sys *model.System, cfg *flexray.Config, opts Options) (*schedule
 			}
 		}
 		if stride > 0 && n > int64(math.MaxInt32-total)/int64(stride) {
-			return nil, fmt.Errorf("sched: more than %d activity instances in the hyper-period", math.MaxInt32)
+			p.err = fmt.Errorf("sched: more than %d activity instances in the hyper-period", math.MaxInt32)
+			return
 		}
 		local := 0
-		for _, id := range tg.Acts {
-			if app.Act(id).IsTT() {
-				slots[id] = actSlot{off: total + local, stride: stride, n: int(n)}
-				local++
-			}
-		}
-		total += int(n) * stride
-	}
-	table.Reserve(app, func(id model.ActID) int { return slots[id].n })
-
-	nodes := make([]node, total)
-	h := readyHeap{nodes: nodes}
-	for g := range app.Graphs {
-		tg := &app.Graphs[g]
 		for _, id := range tg.Acts {
 			a := app.Act(id)
 			if !a.IsTT() {
 				continue
 			}
 			var pend int32
-			for _, p := range a.Preds {
-				if app.Act(p).IsTT() {
+			for _, q := range a.Preds {
+				if app.Act(q).IsTT() {
 					pend++
 				}
 			}
-			sl := slots[id]
-			for inst := 0; inst < sl.n; inst++ {
+			p.slots[id] = actSlot{off: int32(total + local), stride: int32(stride), n: int32(n), pend: pend}
+			local++
+		}
+		total += int(n) * stride
+	}
+	p.nodes = make([]node, total)
+}
+
+// Build constructs the schedule table for one bus configuration. The
+// table is new and owned by the caller; the plan's scratch is reused by
+// the next Build.
+func (p *Plan) Build(cfg *flexray.Config, opts Options) (*schedule.Table, error) {
+	if p.err != nil {
+		return nil, p.err
+	}
+	app := &p.sys.App
+	table := schedule.New(cfg, p.horizon)
+	table.Reserve(app, func(id model.ActID) int { return int(p.slots[id].n) })
+
+	nodes := p.nodes
+	h := readyHeap{nodes: nodes, idx: p.heap[:0]}
+	for g := range app.Graphs {
+		tg := &app.Graphs[g]
+		for _, id := range tg.Acts {
+			sl := p.slots[id]
+			if sl.stride == 0 {
+				continue
+			}
+			release := app.Act(id).Release
+			for inst := int32(0); inst < sl.n; inst++ {
 				i := sl.off + inst*sl.stride
 				nodes[i] = node{
 					// graph instance release + own offset
-					asap:     units.Time(int64(tg.Period) * int64(inst)).Add(a.Release),
-					remain:   remain[id],
+					asap:     units.Time(int64(tg.Period) * int64(inst)).Add(release),
+					remain:   p.remain[id],
 					act:      id,
-					inst:     int32(inst),
-					pendPred: pend,
+					inst:     inst,
+					pendPred: sl.pend,
 				}
-				if pend == 0 {
-					h.push(int32(i))
+				if sl.pend == 0 {
+					h.push(i)
 				}
 			}
 		}
@@ -140,18 +200,18 @@ func BuildTable(sys *model.System, cfg *flexray.Config, opts Options) (*schedule
 
 	finish := func(nd *node, f units.Time) {
 		for _, s := range app.Act(nd.act).Succs {
-			sl := slots[s]
-			if sl.stride == 0 || int(nd.inst) >= sl.n {
+			sl := p.slots[s]
+			if sl.stride == 0 || nd.inst >= sl.n {
 				continue
 			}
-			i := sl.off + int(nd.inst)*sl.stride
+			i := sl.off + nd.inst*sl.stride
 			sn := &nodes[i]
 			if f > sn.asap {
 				sn.asap = f
 			}
 			sn.pendPred--
 			if sn.pendPred == 0 {
-				h.push(int32(i))
+				h.push(i)
 			}
 		}
 	}
@@ -162,10 +222,14 @@ func BuildTable(sys *model.System, cfg *flexray.Config, opts Options) (*schedule
 	// construction.
 	var trialAn *analysis.Analyzer
 	if opts.PlacementCandidates > 1 {
-		trialAn = analysis.NewReusable(sys, opts.Analysis)
+		if p.trial == nil || p.trialOpts != opts.Analysis {
+			p.trial, p.trialOpts = analysis.NewReusable(p.sys, opts.Analysis), opts.Analysis
+		}
+		trialAn = p.trial
 	}
 
-	for len(h.idx) > 0 {
+	var err error
+	for len(h.idx) > 0 && err == nil {
 		// Select the ready activity with the greatest remaining
 		// critical path (Fig. 2 line 2); earliest ASAP breaks ties,
 		// then id for determinism.
@@ -173,27 +237,34 @@ func BuildTable(sys *model.System, cfg *flexray.Config, opts Options) (*schedule
 		a := app.Act(nd.act)
 
 		if a.IsTask() {
-			start, err := placeTask(cfg, table, trialAn, nd.act, int(nd.inst), a, nd.asap, opts)
-			if err != nil {
-				return nil, err
+			var start units.Time
+			if start, err = placeTask(cfg, table, trialAn, nd.act, int(nd.inst), a, nd.asap, opts); err == nil {
+				finish(nd, start.Add(a.C))
 			}
-			finish(nd, start.Add(a.C))
 		} else {
-			e, err := table.PlaceMessage(app, nd.act, int(nd.inst), nd.asap)
-			if err != nil {
-				return nil, fmt.Errorf("sched: %w", err)
+			var e schedule.MsgEntry
+			if e, err = table.PlaceMessage(app, nd.act, int(nd.inst), nd.asap); err != nil {
+				err = fmt.Errorf("sched: %w", err)
+			} else {
+				finish(nd, e.Delivery)
 			}
-			finish(nd, e.Delivery)
 		}
+	}
+	// Keep the capacity the ready list grew to for the next build.
+	p.heap = h.idx[:0]
+	if err != nil {
+		return nil, err
 	}
 	return table, nil
 }
 
 // actSlot locates the instances of one activity in the flat node
 // slice of a build: instance i lives at off + i*stride, for i < n.
-// Non-TT activities keep the zero value (stride 0).
+// pend is the activity's number of TT predecessors. Non-TT activities
+// keep the zero value (stride 0). NewPlan bounds every instance index
+// by MaxInt32.
 type actSlot struct {
-	off, stride, n int
+	off, stride, n, pend int32
 }
 
 // node is one instance of a TT activity inside the hyper-period.
